@@ -17,13 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLocalityError
-from .kernels import KernelSpec, eval_kernel, product_kernel, scaled_kernel
+from .kernels import _SQRT_2PI, GAUSSIAN, KernelSpec, eval_kernel, product_kernel, scaled_kernel
 
 # Denominators at or below this are treated as exactly zero.
 _DEN_FLOOR = 1e-300
 
-# Row-block size for the O(n^2) covariate-weight pass.
-_BLOCK = 1024
+# Bytes of one block matrix: a row block's covariate weights (both arms), or a
+# grid chunk of curve kernels.  2 MiB keeps a block in a core's L2 cache, which
+# made the weight pass about twice as fast as 64 MiB blocks at n = 8000.
+_BLOCK_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,54 +128,91 @@ def cond_density_at(sample: Sample, arm, spec: KernelSpec, y, x, order=0):
     return num / den
 
 
+def _block_rows(n):
+    """Rows per block, so that one block's weights against ``n`` points fit the budget."""
+    return max(1, _BLOCK_BYTES // (8 * n))
+
+
 def _product_weights_block(x_block, x_all, spec):
-    """Covariate product-kernel weights between a row block and all points."""
-    u = eval_kernel(spec.family, (x_block[:, 0, None] - x_all[None, :, 0]) / spec.h, 0)
-    for c in range(1, x_all.shape[1]):
-        u = u * eval_kernel(spec.family, (x_block[:, c, None] - x_all[None, :, c]) / spec.h, 0)
-    return u * spec.h ** (-x_all.shape[1])
+    """Covariate product-kernel weights between a row block and all points.
+
+    The Gaussian product is one ``exp`` of the summed squared coordinates;
+    other families multiply one kernel factor per coordinate.
+    """
+    dim = x_all.shape[1]
+    if spec.family == GAUSSIAN:
+        w = np.subtract.outer(x_block[:, 0], x_all[:, 0])
+        w /= spec.h
+        w *= w
+        u = np.empty_like(w) if dim > 1 else None
+        for c in range(1, dim):
+            np.subtract.outer(x_block[:, c], x_all[:, c], out=u)
+            u /= spec.h
+            u *= u
+            w += u
+        w *= -0.5
+        np.exp(w, out=w)
+        w *= (_SQRT_2PI * spec.h) ** (-dim)
+        return w
+    w = eval_kernel(spec.family, (x_block[:, 0, None] - x_all[None, :, 0]) / spec.h, 0)
+    for c in range(1, dim):
+        w *= eval_kernel(spec.family, (x_block[:, c, None] - x_all[None, :, c]) / spec.h, 0)
+    w *= spec.h ** (-dim)
+    return w
 
 
-def _marginal_weights(sample: Sample, spec: KernelSpec, arms=(1, 0)):
-    """Aggregated per-observation weights for the requested arms' curves.
+def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
+    """One blocked O(n^2) covariate-weight pass: ``{arm: (den, idx, c, c_var)}``.
 
-    Returns ``{arm: (den, idx, c)}`` where ``den[i]`` is the arm's
-    covariate-kernel mass at ``x_i`` (over all ``i``), ``idx`` lists the
-    arm's observation indices, and ``c`` (aligned with ``idx``) collapses the
-    double sum of the marginal estimator so that a curve value at any
-    outcome ``y`` is ``sum(c * K_h(y - y[idx])) / n``.  This is the dominant
-    O(n^2) cost; it is paid once and reused across grid points and
-    derivative orders.
+    ``den[i]`` is the arm's covariate-kernel mass at ``x_i`` (all ``i``),
+    ``idx`` lists the arm's observations, and ``c[j] = sum_i w_ij / den[i]``
+    makes a curve value at any outcome ``y`` equal ``sum(c * K_h(y - y[idx])) / n``.
+    With ``share``, ``c_var[j] = sum_i w_ij / (den[i] * p[i])``, where
+    ``p = share(arm, den_rows, rows)`` is the arm's clipped probability, so
+    ``sum(c_var * K_h(theta - y[idx])) / n`` averages ``f_hat(theta | x_i) / p[i]``
+    and the variance needs no second pass; otherwise ``c_var`` is None.
 
-    Reductions are restricted to each arm's own columns so that samples
-    related by an arm swap (or arm duplication) produce bit-identical
-    results for the corresponding arm.
+    Columns are ordered by arm once, each arm's points gathered in sample
+    order into one contiguous array that every row block is evaluated
+    against: no block is copied by fancy indexing, and reductions see only
+    the arm's own columns, so samples related by an arm swap (or arm
+    duplication) give bit-identical results for the corresponding arm.
     """
     n = sample.n
-    arms = tuple(arms)
-    idx = {arm: np.flatnonzero(sample.d == arm) for arm in arms}
-    den = {arm: np.empty(n) for arm in arms}
-    acc = {arm: np.zeros(idx[arm].size) for arm in arms}
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        w = _product_weights_block(sample.x[start:stop], sample.x, spec)
-        for arm in arms:
-            w_arm = w[:, idx[arm]]
-            d_blk = w_arm.sum(axis=1)
+    idx = {arm: sample.arm_indices(arm) for arm in arms}
+    x_arm = {arm: sample.x[i] for arm, i in idx.items()}
+    den = {arm: np.empty(n) for arm in idx}
+    acc = {arm: np.zeros(i.size) for arm, i in idx.items()}
+    acc_var = {arm: np.zeros(i.size) for arm, i in idx.items()} if share is not None else {}
+    step = _block_rows(n)
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        w = {}
+        for arm in idx:
+            w[arm] = _product_weights_block(sample.x[rows], x_arm[arm], spec)
+            d_blk = w[arm].sum(axis=1)
             bad = np.flatnonzero(d_blk <= _DEN_FLOOR)
             if bad.size:
                 i = start + int(bad[0])
                 raise DegenerateLocalityError(arm, sample.x[i], index=i)
-            den[arm][start:stop] = d_blk
-            acc[arm] += w_arm.T @ (1.0 / d_blk)
-    return {arm: (den[arm], idx[arm], acc[arm]) for arm in arms}
+            den[arm][rows] = d_blk
+            acc[arm] += w[arm].T @ (1.0 / d_blk)
+        for arm in acc_var:
+            p = share(arm, {a: den[a][rows] for a in idx}, rows)
+            acc_var[arm] += w[arm].T @ (1.0 / (den[arm][rows] * p))
+    return {arm: (den[arm], idx[arm], acc[arm], acc_var.get(arm)) for arm in idx}
+
+
+def _marginal_weights(sample: Sample, spec: KernelSpec, arms=(1, 0)):
+    """``{arm: (den, idx, c)}`` for the arms' curves: :func:`_weight_pass`
+    without the variance accumulator."""
+    return {arm: t[:3] for arm, t in _weight_pass(sample, spec, arms).items()}
 
 
 def _weighted_curve_values(c, arm_y, spec, grid, order, n):
     """Evaluate ``sum_j(c[j] * K_h^(order)(grid - arm_y[j])) / n`` over a grid."""
     out = np.empty(len(grid))
-    # Chunk the grid so the (m, len(arm_y)) kernel matrix stays modest.
-    step = max(1, int(2_000_000 // max(arm_y.size, 1)))
+    step = _block_rows(max(arm_y.size, 1))
     for start in range(0, len(grid), step):
         stop = min(start + step, len(grid))
         k = scaled_kernel(spec, grid[start:stop, None] - arm_y[None, :], order)

@@ -12,22 +12,18 @@ import numpy as np
 from .density import (
     Sample,
     DensityCurve,
-    _marginal_weights,
-    _product_weights_block,
+    _weight_pass,
     _weighted_curve_values,
     _weighted_value,
-    _BLOCK,
-    _DEN_FLOOR,
     default_grid,
 )
-from .errors import ConstantCovariateError, DegenerateLocalityError, NoOverlapError
+from .errors import ConstantCovariateError, NoOverlapError
 from .kernels import (
     GAUSSIAN,
     KERNEL_METHOD,
     KernelSpec,
     default_bandwidth,
     kernel_constants,
-    scaled_kernel,
 )
 from .learners import clip_propensity
 from .modes import curve_shape_flags, mode_of_curve
@@ -72,56 +68,37 @@ def robust_scale(y):
     return scale
 
 
-def _conditional_at_theta(sample, spec, theta1, theta0):
-    """Per-observation conditional density and curvature values at the modes.
-
-    One blocked O(n^2) pass returns, for every observation index ``i``:
-    ``f1[i] = f_hat(theta1 | x_i, arm 1)``, ``f1_2[i]`` its order-2
-    counterpart, ``f0``/``f0_2`` for arm 0, and the locally weighted treated
-    and untreated shares ``p1[i]``/``p0[i]`` (the default propensity route).
+def _clipped_share(pi_hat, x, kappa):
+    """Clipped arm probabilities ``share(arm, den, rows)`` for the weight pass:
+    the local shares ``den_a / (den_1 + den_0)``, or ``pi_hat(x)`` (arm 1) and
+    ``1 - pi_hat(x)`` (arm 0), evaluated once and checked to be finite per row.
     """
-    n = sample.n
-    idx1 = sample.arm_indices(1)
-    idx0 = sample.arm_indices(0)
-    k1_0 = scaled_kernel(spec, theta1 - sample.y[idx1], 0)
-    k1_2 = scaled_kernel(spec, theta1 - sample.y[idx1], 2)
-    k0_0 = scaled_kernel(spec, theta0 - sample.y[idx0], 0)
-    k0_2 = scaled_kernel(spec, theta0 - sample.y[idx0], 2)
-    f1 = np.empty(n)
-    f1_2 = np.empty(n)
-    f0 = np.empty(n)
-    f0_2 = np.empty(n)
-    p1 = np.empty(n)
-    p0 = np.empty(n)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        w = _product_weights_block(sample.x[start:stop], sample.x, spec)
-        w1 = w[:, idx1]
-        w0 = w[:, idx0]
-        den1 = w1.sum(axis=1)
-        den0 = w0.sum(axis=1)
-        for arm, d_blk in ((1, den1), (0, den0)):
-            bad = np.flatnonzero(d_blk <= _DEN_FLOOR)
-            if bad.size:
-                i = start + int(bad[0])
-                raise DegenerateLocalityError(arm, sample.x[i], index=i)
-        f1[start:stop] = (w1 @ k1_0) / den1
-        f1_2[start:stop] = (w1 @ k1_2) / den1
-        f0[start:stop] = (w0 @ k0_0) / den0
-        f0_2[start:stop] = (w0 @ k0_2) / den0
-        denall = den1 + den0
-        p1[start:stop] = den1 / denall
-        p0[start:stop] = den0 / denall
-    return f1, f1_2, f0, f0_2, p1, p0
+    if pi_hat is not None:
+        pi = np.asarray(pi_hat(x), dtype=float)
+        if pi.shape != (x.shape[0],):
+            raise ValueError("pi_hat must return one probability per observation")
+        if not np.isfinite(pi).all():
+            raise ValueError("pi_hat returned non-finite values")
+
+    def share(arm, den, rows):
+        if pi_hat is None:
+            p = den[arm] / (den[1] + den[0])
+        else:
+            p = pi[rows] if arm == 1 else 1.0 - pi[rows]
+        return clip_propensity(p, kappa)
+    return share
 
 
-def _variance_from_conditionals(spec, f1, f1_2, f0, f0_2, p1_clipped, p0_clipped):
+def _variance_components(sample, spec, weights, theta1, theta0):
+    """``(m1, m0, v1, v0)`` from one pass's weights: the order-2 curve, and
+    ``kappa0_1`` times the ``c_var``-weighted curve, at each arm's mode."""
     kappa0_1 = kernel_constants(spec.family).kappa0_1
-    m1 = float(np.mean(f1_2))
-    m0 = float(np.mean(f0_2))
-    v1 = kappa0_1 * float(np.mean(f1 / p1_clipped))
-    v0 = kappa0_1 * float(np.mean(f0 / p0_clipped))
-    return m1, m0, v1, v0
+    m, v = {}, {}
+    for arm, theta in ((1, theta1), (0, theta0)):
+        _, idx, c, c_var = weights[arm]
+        m[arm] = _weighted_value(c, sample.y[idx], spec, theta, 2, sample.n)
+        v[arm] = kappa0_1 * _weighted_value(c_var, sample.y[idx], spec, theta, 0, sample.n)
+    return m[1], m[0], v[1], v[0]
 
 
 def kernel_variance_components(sample: Sample, spec: KernelSpec, theta1, theta0,
@@ -134,15 +111,8 @@ def kernel_variance_components(sample: Sample, spec: KernelSpec, theta1, theta0,
     untreated share (arm 0).  ``pi_hat`` maps a covariate matrix to treated
     probabilities; it is clipped to ``[kappa, 1 - kappa]`` before use.
     """
-    f1, f1_2, f0, f0_2, _, _ = _conditional_at_theta(sample, spec, theta1, theta0)
-    raw = np.asarray(pi_hat(sample.x), dtype=float)
-    if raw.shape != (sample.n,):
-        raise ValueError("pi_hat must return one probability per observation")
-    if not np.isfinite(raw).all():
-        raise ValueError("pi_hat returned non-finite values")
-    p1c = clip_propensity(raw, kappa)
-    p0c = clip_propensity(1.0 - raw, kappa)
-    return _variance_from_conditionals(spec, f1, f1_2, f0, f0_2, p1c, p0c)
+    weights = _weight_pass(sample, spec, (1, 0), _clipped_share(pi_hat, sample.x, kappa))
+    return _variance_components(sample, spec, weights, theta1, theta0)
 
 
 def estimate_kernel_mte(sample: Sample, spec: KernelSpec | None = None, *,
@@ -170,12 +140,12 @@ def estimate_kernel_mte(sample: Sample, spec: KernelSpec | None = None, *,
     else:
         grid = np.asarray(grid, dtype=float)
 
-    weights = _marginal_weights(std_sample, spec, arms=(1, 0))
+    weights = _weight_pass(std_sample, spec, (1, 0), _clipped_share(pi_hat, std_sample.x, kappa))
     n = std_sample.n
     curves = {}
     modes = {}
     for arm in (1, 0):
-        _, idx, c = weights[arm]
+        _, idx, c, _ = weights[arm]
         arm_y = std_sample.y[idx]
         values = _weighted_curve_values(c, arm_y, spec, grid, 0, n)
         curve = DensityCurve(grid=grid, values=values, arm=arm, order=0, spec=spec)
@@ -186,15 +156,7 @@ def estimate_kernel_mte(sample: Sample, spec: KernelSpec | None = None, *,
 
     theta1 = modes[1].theta
     theta0 = modes[0].theta
-    f1, f1_2, f0, f0_2, p1, p0 = _conditional_at_theta(std_sample, spec, theta1, theta0)
-    if pi_hat is None:
-        p1c = clip_propensity(p1, kappa)
-        p0c = clip_propensity(p0, kappa)
-    else:
-        raw = np.asarray(pi_hat(std_sample.x), dtype=float)
-        p1c = clip_propensity(raw, kappa)
-        p0c = clip_propensity(1.0 - raw, kappa)
-    m1, m0, v1, v0 = _variance_from_conditionals(spec, f1, f1_2, f0, f0_2, p1c, p0c)
+    m1, m0, v1, v0 = _variance_components(std_sample, spec, weights, theta1, theta0)
 
     flags = curve_shape_flags(curves[1].values) + curve_shape_flags(curves[0].values)
     diag = Diagnostics(

@@ -26,9 +26,9 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .density import Sample
+from .density import _DEN_FLOOR, Sample, _product_weights_block
 from .errors import ConvergenceError, NoDataError, NoOverlapError
-from .kernels import GAUSSIAN, KernelSpec, eval_kernel, scaled_kernel
+from .kernels import GAUSSIAN, KernelSpec, scaled_kernel
 
 PROPENSITY_LEARNERS = ("logistic", "knn", "kernel")
 OUTCOME_LEARNERS = ("ridge", "knn")
@@ -173,13 +173,11 @@ def _fit_kernel_propensity(x, d, hyper):
 
     def predict(xq):
         xq = (np.atleast_2d(np.asarray(xq, dtype=float)) - mu) / sd
-        w = eval_kernel(spec.family, (xq[:, None, 0] - train[None, :, 0]) / spec.h, 0)
-        for c in range(1, dim):
-            w = w * eval_kernel(spec.family, (xq[:, None, c] - train[None, :, c]) / spec.h, 0)
+        w = _product_weights_block(xq, train, spec)
         den = w.sum(axis=1)
         num = w @ labels
         out = np.full(xq.shape[0], fallback)
-        ok = den > 1e-300
+        ok = den > _DEN_FLOOR
         out[ok] = num[ok] / den[ok]
         return out
 

@@ -176,3 +176,17 @@ def test_default_grid_padding():
     assert grid.size == 512
     assert grid[0] == -0.5
     assert grid[-1] == 2.5
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_fused_gaussian_weights_match_coordinate_product(dim):
+    from modete.density import _product_weights_block
+
+    rng = np.random.default_rng(dim)
+    xa = rng.normal(size=(30, dim))
+    xb = rng.normal(size=(17, dim))
+    spec = m.KernelSpec(m.GAUSSIAN, 0.7)
+    fused = _product_weights_block(xb, xa, spec)
+    factors = m.eval_kernel(m.GAUSSIAN, (xb[:, None, :] - xa[None, :, :]) / spec.h, 0)
+    want = np.prod(factors, axis=-1) * spec.h ** (-dim)
+    assert np.max(np.abs(fused / want - 1.0)) <= 1e-13

@@ -1,6 +1,7 @@
 """The kernel-route estimator: standardization, estimates, variance, CIs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,63 @@ class TestVarianceComponents:
             m.kernel_variance_components(
                 s, spec, 0.0, 0.0, pi_hat=lambda x: np.full(len(x), np.nan)
             )
+
+
+class TestOnePassVariance:
+    """The variance components folded into the weight pass equal their
+    per-observation definitions built from the pointwise estimator."""
+
+    @staticmethod
+    def per_observation(sample, spec, theta1, theta0, kappa, pi_hat):
+        std, _ = m.standardize_covariates(sample)
+        den = {arm: np.array([np.sum(m.product_kernel(spec, xi - std.x[std.d == arm]))
+                              for xi in std.x]) for arm in (1, 0)}
+        if pi_hat is None:
+            share = {arm: den[arm] / (den[1] + den[0]) for arm in (1, 0)}
+        else:
+            share = {1: pi_hat(std.x), 0: 1.0 - pi_hat(std.x)}
+        kappa0_1 = m.kernel_constants(spec.family).kappa0_1
+        out = {}
+        for arm, theta in ((1, theta1), (0, theta0)):
+            f = [m.cond_density_at(std, arm, spec, theta, xi, 0) for xi in std.x]
+            f2 = [m.cond_density_at(std, arm, spec, theta, xi, 2) for xi in std.x]
+            p = m.clip_propensity(share[arm], kappa)
+            out[arm] = (np.mean(f2), kappa0_1 * np.mean(np.asarray(f) / p))
+        return out[1][0], out[0][0], out[1][1], out[0][1]
+
+    @pytest.mark.parametrize("family", [m.GAUSSIAN, m.EPANECHNIKOV])
+    @pytest.mark.parametrize("user_pi", [False, True])
+    def test_components_match_definitions(self, family, user_pi, lognormal_selection):
+        sample = m.generate(lognormal_selection, 150, seed=4)
+        spec = m.KernelSpec(family, 0.9)
+        pi_hat = (lambda x: 1.0 / (1.0 + np.exp(-1.5 * x[:, 0]))) if user_pi else None
+        res = m.estimate_kernel_mte(sample, spec, kappa=0.05, pi_hat=pi_hat)
+        want = self.per_observation(sample, spec, res.theta1, res.theta0, 0.05, pi_hat)
+        got = (res.m1_hat, res.m0_hat, res.v1_hat, res.v0_hat)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [lambda x: np.ones(1), lambda x: np.full(len(x), np.nan)],
+                             ids=["length-1", "nan"])
+    def test_estimate_rejects_bad_pi_hat(self, bad):
+        with pytest.raises(ValueError):
+            m.estimate_kernel_mte(small_sample(n=30, seed=8), pi_hat=bad)
+
+    def test_block_memory_is_bounded(self, lognormal_selection):
+        """Peak allocation stays under six block budgets plus 256 bytes per
+        observation; the O(n^2) weight matrix would need about 1 GB here."""
+        from modete.density import _BLOCK_BYTES
+
+        n = 12_000
+        sample = m.generate(lognormal_selection, n, seed=2)
+        assert sample.dim == 1
+        tracemalloc.start()
+        try:
+            m.estimate_kernel_mte(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * _BLOCK_BYTES + 256 * n
 
 
 def test_nonnegative_curvature_sets_diagnostics_flag():

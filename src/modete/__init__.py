@@ -9,7 +9,15 @@ nonstandard ``sqrt(n * h**3)`` rate, plus a Monte Carlo harness that checks
 the asymptotic claims empirically.
 """
 
-from .density import DensityCurve, Sample, cond_density_at, default_grid, marginal_density_curve
+from .density import (
+    DensityCurve,
+    KernelArmFit,
+    Sample,
+    cond_density_at,
+    default_grid,
+    marginal_arm_fit,
+    marginal_density_curve,
+)
 from .dml import (
     DMLConfig,
     FoldPartition,
@@ -64,7 +72,7 @@ from .learners import (
     fit_smoothed_outcome,
 )
 from .modes import ModeLocation, argmax_on_grid, mode_of_curve, refine_mode
-from .results import Diagnostics, MTEResult, normal_quantile
+from .results import Diagnostics, MTEResult
 from .simulation import (
     DGPSpec,
     LogNormalLaw,

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLocalityError
-from .kernels import _SQRT_2PI, GAUSSIAN, KernelSpec, eval_kernel, product_kernel, scaled_kernel
+from .kernels import (
+    _SQRT_2PI, GAUSSIAN, KernelSpec, eval_kernel, kernel_constants, product_kernel, scaled_kernel,
+)
 
 # Denominators at or below this are treated as exactly zero.
 _DEN_FLOOR = 1e-300
@@ -161,15 +163,54 @@ def _product_weights_block(x_block, x_all, spec):
     return w
 
 
-def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
-    """One blocked O(n^2) covariate-weight pass: ``{arm: (den, idx, c, c_var)}``.
+@dataclass(frozen=True, eq=False)
+class KernelArmFit:
+    """One arm's kernel-route fit: curve weights over the arm's outcomes.
 
-    ``den[i]`` is the arm's covariate-kernel mass at ``x_i`` (all ``i``),
-    ``idx`` lists the arm's observations, and ``c[j] = sum_i w_ij / den[i]``
-    makes a curve value at any outcome ``y`` equal ``sum(c * K_h(y - y[idx])) / n``.
+    A curve value at ``y`` is ``sum(c * K_h^(order)(y - y_arm)) / n``; with
+    variance weights ``c_var`` (see :func:`_weight_pass`) the same sum at
+    ``theta`` averages ``f_hat(theta | x_i) / p_i`` for the score variance.
+    Only the estimator's pass computes ``c_var``; :func:`marginal_arm_fit`
+    leaves it None, so such a fit has no :meth:`components`.
+    """
+
+    y: np.ndarray
+    c: np.ndarray
+    c_var: np.ndarray | None
+    spec: KernelSpec
+    n: int
+
+    def curve(self, grid, order=0):
+        """Curve values over a grid, one bounded chunk of grid points at a time."""
+        out = np.empty(len(grid))
+        step = _block_rows(max(self.y.size, 1))
+        for start in range(0, len(grid), step):
+            stop = min(start + step, len(grid))
+            k = scaled_kernel(self.spec, grid[start:stop, None] - self.y[None, :], order)
+            out[start:stop] = k @ self.c / self.n
+        return out
+
+    def value(self, y, order=0):
+        """Curve value at one outcome point."""
+        return float(np.dot(scaled_kernel(self.spec, y - self.y, order), self.c)) / self.n
+
+    def components(self, theta):
+        """``(m_hat, v_hat)`` at ``theta``: the order-2 curve, and ``kappa0_1``
+        times the ``c_var``-weighted order-0 curve."""
+        kappa0_1 = kernel_constants(self.spec.family).kappa0_1
+        v_sum = float(np.dot(scaled_kernel(self.spec, theta - self.y, 0), self.c_var)) / self.n
+        return self.value(theta, 2), kappa0_1 * v_sum
+
+
+def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
+    """One blocked O(n^2) covariate-weight pass: ``{arm: KernelArmFit}``.
+
+    With ``den[i]`` the arm's covariate-kernel mass at ``x_i`` (all ``i``),
+    ``c[j] = sum_i w_ij / den[i]`` over the arm's observations ``j`` makes a
+    curve value at any outcome ``y`` equal ``sum(c * K_h(y - y_j)) / n``.
     With ``share``, ``c_var[j] = sum_i w_ij / (den[i] * p[i])``, where
     ``p = share(arm, den_rows, rows)`` is the arm's clipped probability, so
-    ``sum(c_var * K_h(theta - y[idx])) / n`` averages ``f_hat(theta | x_i) / p[i]``
+    ``sum(c_var * K_h(theta - y_j)) / n`` averages ``f_hat(theta | x_i) / p[i]``
     and the variance needs no second pass; otherwise ``c_var`` is None.
 
     Columns are ordered by arm once, each arm's points gathered in sample
@@ -200,29 +241,19 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
         for arm in acc_var:
             p = share(arm, {a: den[a][rows] for a in idx}, rows)
             acc_var[arm] += w[arm].T @ (1.0 / (den[arm][rows] * p))
-    return {arm: (den[arm], idx[arm], acc[arm], acc_var.get(arm)) for arm in idx}
+    return {arm: KernelArmFit(sample.y[idx[arm]], acc[arm], acc_var.get(arm), spec, n)
+            for arm in idx}
 
 
-def _marginal_weights(sample: Sample, spec: KernelSpec, arms=(1, 0)):
-    """``{arm: (den, idx, c)}`` for the arms' curves: :func:`_weight_pass`
-    without the variance accumulator."""
-    return {arm: t[:3] for arm, t in _weight_pass(sample, spec, arms).items()}
+def marginal_arm_fit(sample: Sample, arm, spec: KernelSpec) -> KernelArmFit:
+    """One arm's marginal-curve fit (without variance weights).
 
-
-def _weighted_curve_values(c, arm_y, spec, grid, order, n):
-    """Evaluate ``sum_j(c[j] * K_h^(order)(grid - arm_y[j])) / n`` over a grid."""
-    out = np.empty(len(grid))
-    step = _block_rows(max(arm_y.size, 1))
-    for start in range(0, len(grid), step):
-        stop = min(start + step, len(grid))
-        k = scaled_kernel(spec, grid[start:stop, None] - arm_y[None, :], order)
-        out[start:stop] = k @ c / n
-    return out
-
-
-def _weighted_value(c, arm_y, spec, y, order, n):
-    """Scalar counterpart of :func:`_weighted_curve_values`."""
-    return float(np.dot(scaled_kernel(spec, y - arm_y, order), c)) / n
+    Raises :class:`DegenerateLocalityError` when the arm is empty or some
+    covariate point has no kernel mass in it.
+    """
+    if sample.arm_count(arm) == 0:
+        raise DegenerateLocalityError(arm, None)
+    return _weight_pass(sample, spec, arms=(arm,))[arm]
 
 
 def marginal_density_curve(sample: Sample, arm, spec: KernelSpec, grid, order=0):
@@ -235,8 +266,5 @@ def marginal_density_curve(sample: Sample, arm, spec: KernelSpec, grid, order=0)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be 1-d and strictly increasing")
-    if sample.arm_count(arm) == 0:
-        raise DegenerateLocalityError(arm, None)
-    (_, idx, c), = _marginal_weights(sample, spec, arms=(arm,)).values()
-    values = _weighted_curve_values(c, sample.y[idx], spec, grid, order, sample.n)
+    values = marginal_arm_fit(sample, arm, spec).curve(grid, order)
     return DensityCurve(grid=grid, values=values, arm=arm, order=order, spec=spec)

@@ -22,13 +22,12 @@ from typing import Callable
 
 import numpy as np
 
-from .density import DensityCurve, Sample, default_grid
-from .errors import ConfigurationError, NoDataError, NoOverlapError, StratificationError
-from .kernels import DML_METHOD, GAUSSIAN, KernelSpec, default_bandwidth, kernel_constants, scaled_kernel
-from .kernel_mte import robust_scale, standardize_covariates
+from .density import DensityCurve, Sample
+from .errors import ConfigurationError, NoDataError, StratificationError
+from .kernels import DML_METHOD, GAUSSIAN, KernelSpec, kernel_constants, scaled_kernel
+from .kernel_mte import _prepare
 from .learners import PropensityFit, SmoothedOutcomeFit, fit_propensity, fit_smoothed_outcome
-from .modes import curve_shape_flags, mode_of_curve
-from .results import Diagnostics, MTEResult, build_result
+from .results import MTEResult, estimate_from_fits
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,12 +106,26 @@ def fit_nuisances(sample: Sample, partition: FoldPartition, spec: KernelSpec, gr
             if aux.arm_count(arm) == 0:
                 raise NoDataError(f"auxiliary sample of fold {k} has no arm-{arm} observations")
         pi = fit_propensity(aux, learner=pi_learner, hyper=pi_hyper, clip_kappa=kappa)
-        g1 = fit_smoothed_outcome(aux.subset(aux.arm_indices(1)), 1, grid, spec,
-                                  learner=g_learner, hyper=g_hyper)
-        g0 = fit_smoothed_outcome(aux.subset(aux.arm_indices(0)), 0, grid, spec,
-                                  learner=g_learner, hyper=g_hyper)
-        folds.append(FoldNuisance(pi=pi, g1=g1, g0=g0))
+        g = {arm: fit_smoothed_outcome(aux.subset(aux.arm_indices(arm)), arm, grid, spec,
+                                       learner=g_learner, hyper=g_hyper) for arm in (1, 0)}
+        folds.append(FoldNuisance(pi=pi, g1=g[1], g0=g[0]))
     return NuisanceBundle(folds=tuple(folds), grid=grid, spec=spec)
+
+
+def _arm_terms(d, pi, arm):
+    """``(d_a, p_a, r_a)``: the arm's indicator, its probability and the
+    residual of the correction term, so that one arm's score is
+    ``d_a * K / p_a - r_a / p_a * g``."""
+    if arm == 1:
+        return d, pi, d - pi
+    if arm == 0:
+        return 1.0 - d, 1.0 - pi, pi - d
+    raise ValueError(f"arm must be 0 or 1, got {arm!r}")
+
+
+def _score(d_a, p_a, r_a, kv, g):
+    """The orthogonal score from one arm's terms; arguments broadcast."""
+    return d_a * kv / p_a - r_a / p_a * g
 
 
 def orthogonal_score(z, y, eta, arm, spec: KernelSpec, order=0):
@@ -124,24 +137,10 @@ def orthogonal_score(z, y, eta, arm, spec: KernelSpec, order=0):
     """
     y_obs, d, _x = z
     pi_value, g_value = eta
-    if arm == 1:
-        if not 0.0 < pi_value <= 1.0:
-            raise ValueError(f"propensity {pi_value!r} outside the usable range for arm 1")
-        kv = scaled_kernel(spec, y - y_obs, order)
-        return d * kv / pi_value - (d - pi_value) / pi_value * g_value
-    if arm == 0:
-        if not 0.0 <= pi_value < 1.0:
-            raise ValueError(f"propensity {pi_value!r} outside the usable range for arm 0")
-        kv = scaled_kernel(spec, y - y_obs, order)
-        return (1 - d) * kv / (1.0 - pi_value) - (pi_value - d) / (1.0 - pi_value) * g_value
-    raise ValueError(f"arm must be 0 or 1, got {arm!r}")
-
-
-def _score_values(d, kv, pi, g, arm):
-    """Vectorized score; ``kv`` and ``g`` broadcast against each other."""
-    if arm == 1:
-        return d * kv / pi - (d - pi) / pi * g
-    return (1.0 - d) * kv / (1.0 - pi) - (pi - d) / (1.0 - pi) * g
+    d_a, p_a, r_a = _arm_terms(d, pi_value, arm)
+    if not (0.0 <= pi_value <= 1.0 and p_a > 0.0):
+        raise ValueError(f"propensity {pi_value!r} outside the usable range for arm {arm}")
+    return _score(d_a, p_a, r_a, scaled_kernel(spec, y - y_obs, order), g_value)
 
 
 def _canonical_fold_order(partition: FoldPartition):
@@ -156,32 +155,44 @@ def _canonical_fold_order(partition: FoldPartition):
 
 @dataclass(frozen=True, eq=False)
 class _FoldView:
-    """Per-fold slices and cached nuisance evaluations for one arm."""
+    """One fold's slices and cached nuisance evaluations for one arm, with
+    the arm's score terms ``d_a``, ``p_a`` and ``r_a`` (see :func:`_arm_terms`)."""
 
     y: np.ndarray
-    d: np.ndarray
     x: np.ndarray
-    pi: np.ndarray
+    d_a: np.ndarray
+    p_a: np.ndarray
+    r_a: np.ndarray
     g_fit: SmoothedOutcomeFit
     g0_grid: np.ndarray  # order-0 predictions on the full grid
 
+    def g(self, order, cols=None):
+        """Outcome-fit predictions at the fold's covariates; order 0 is cached."""
+        if order == 0:
+            return self.g0_grid if cols is None else self.g0_grid[:, cols]
+        return np.asarray(self.g_fit.predict_grid(self.x, order, cols=cols), dtype=float)
 
-def _fold_views(sample, partition, bundle, arm):
+    def g_at(self, order, j, t):
+        """Predictions at an off-grid point, linear between columns ``j, j+1``."""
+        cols = self.g(order, [j, j + 1])
+        return (1.0 - t) * cols[:, 0] + t * cols[:, 1]
+
+
+def _dml_arm_fit(sample, partition, bundle, spec, arm):
+    """One arm's :class:`_DMLArmFit`, with fold views in canonical fold order."""
     views = []
     for k in _canonical_fold_order(partition):
         idx = partition.indices(k)
         rec = bundle.folds[k]
         x = sample.x[idx]
         g_fit = rec.g1 if arm == 1 else rec.g0
+        pi = np.asarray(rec.pi.predict_clipped(x), dtype=float)
+        d_a, p_a, r_a = _arm_terms(sample.d[idx].astype(float), pi, arm)
         views.append(_FoldView(
-            y=sample.y[idx],
-            d=sample.d[idx].astype(float),
-            x=x,
-            pi=np.asarray(rec.pi.predict_clipped(x), dtype=float),
-            g_fit=g_fit,
+            y=sample.y[idx], x=x, d_a=d_a, p_a=p_a, r_a=r_a, g_fit=g_fit,
             g0_grid=np.asarray(g_fit.predict_grid(x, 0), dtype=float),
         ))
-    return views
+    return _DMLArmFit(views, spec, bundle.grid)
 
 
 def _bracket(grid, yq):
@@ -192,36 +203,53 @@ def _bracket(grid, yq):
     return j, min(max(t, 0.0), 1.0)
 
 
-def _curve_from_views(views, spec, grid, arm, order):
-    total = np.zeros(grid.size)
-    for v in views:
-        kv = scaled_kernel(spec, grid[None, :] - v.y[:, None], order)
-        if order == 0:
-            g = v.g0_grid
-        else:
-            g = np.asarray(v.g_fit.predict_grid(v.x, order), dtype=float)
-        total += _score_values(v.d[:, None], kv, v.pi[:, None], g, arm).mean(axis=0)
-    return total / len(views)
+@dataclass(frozen=True, eq=False)
+class _DMLArmFit:
+    """One arm's cross-fitted score fit: fold means of the orthogonal score,
+    averaged over the folds with equal weights."""
 
+    views: list
+    spec: KernelSpec
+    grid: np.ndarray
 
-def _value_from_views(views, spec, grid, arm, yq, order):
-    """Curve value at an off-grid point: exact kernels, interpolated g.
+    def curve(self, grid, order=0):
+        total = np.zeros(grid.size)
+        for v in self.views:
+            kv = scaled_kernel(self.spec, grid[None, :] - v.y[:, None], order)
+            g = v.g(order)
+            total += _score(v.d_a[:, None], v.p_a[:, None], v.r_a[:, None], kv, g).mean(axis=0)
+        return total / len(self.views)
 
-    The smoothed-outcome fits are only defined on the grid, so off-grid
-    queries interpolate the per-fold predictions linearly between the two
-    bracketing grid columns while the kernel factor is evaluated exactly.
-    """
-    j, t = _bracket(grid, yq)
-    total = 0.0
-    for v in views:
-        kv = scaled_kernel(spec, yq - v.y, order)
-        if order == 0:
-            cols = v.g0_grid[:, j:j + 2]
-        else:
-            cols = np.asarray(v.g_fit.predict_grid(v.x, order, cols=[j, j + 1]), dtype=float)
-        g = (1.0 - t) * cols[:, 0] + t * cols[:, 1]
-        total += float(_score_values(v.d, kv, v.pi, g, arm).mean())
-    return total / len(views)
+    def value(self, yq, order=0):
+        """Curve value at an off-grid point: exact kernels, interpolated g.
+
+        The smoothed-outcome fits are only defined on the grid, so off-grid
+        queries interpolate the per-fold predictions linearly between the two
+        bracketing grid columns while the kernel factor is evaluated exactly.
+        """
+        j, t = _bracket(self.grid, yq)
+        total = 0.0
+        for v in self.views:
+            kv = scaled_kernel(self.spec, yq - v.y, order)
+            total += float(_score(v.d_a, v.p_a, v.r_a, kv, v.g_at(order, j, t)).mean())
+        return total / len(self.views)
+
+    def components(self, theta):
+        """Equivalent-form sandwich components ``(m_hat, v_hat)`` at ``theta``.
+
+        The curvature is the order-2 score value; the variance row uses the
+        order-0 kernel, the squared clipped probability and the factor -2
+        correction, multiplied by the kernel constant so it estimates the same
+        population quantity as the plug-in route.
+        """
+        j, t = _bracket(self.grid, theta)
+        v_sum = 0.0
+        for v in self.views:
+            kv = scaled_kernel(self.spec, theta - v.y, 0)
+            g = v.g_at(0, j, t)
+            v_sum += float(np.mean(v.d_a * kv / v.p_a ** 2 - 2.0 * v.r_a / v.p_a ** 2 * g))
+        kappa0_1 = kernel_constants(self.spec.family).kappa0_1
+        return self.value(theta, 2), kappa0_1 * v_sum / len(self.views)
 
 
 def dml_density_curve(sample: Sample, partition: FoldPartition, bundle: NuisanceBundle,
@@ -239,47 +267,8 @@ def dml_density_curve(sample: Sample, partition: FoldPartition, bundle: Nuisance
         raise ConfigurationError("kernel spec does not match the one the nuisances were fitted with")
     if len(bundle.folds) != partition.K:
         raise ConfigurationError("nuisance bundle does not match the fold partition")
-    views = _fold_views(sample, partition, bundle, arm)
-    values = _curve_from_views(views, spec, grid, arm, order)
-    return DensityCurve(grid=grid, values=values, arm=arm, order=order, spec=spec)
-
-
-def _variance_from_views(views1, views0, spec, grid, theta1, theta0):
-    """Equivalent-form sandwich components at the fitted modes.
-
-    Curvature rows reuse the score functional with order-2 kernels; variance
-    rows use order-0 kernels, squared clipped propensities and the factor -2
-    correction, multiplied by the kernel constant so they estimate the same
-    population quantity as the plug-in route.  Per-observation averages use
-    equal fold weights over within-fold means.
-    """
-    kappa0_1 = kernel_constants(spec.family).kappa0_1
-    j1, t1 = _bracket(grid, theta1)
-    j0, t0 = _bracket(grid, theta0)
-
-    def lerp(cols, t):
-        return (1.0 - t) * cols[:, 0] + t * cols[:, 1]
-
-    m1 = m0 = v1 = v0 = 0.0
-    for v in views1:
-        kv2 = scaled_kernel(spec, theta1 - v.y, 2)
-        g2 = lerp(np.asarray(v.g_fit.predict_grid(v.x, 2, cols=[j1, j1 + 1]), dtype=float), t1)
-        m1 += float(_score_values(v.d, kv2, v.pi, g2, 1).mean())
-        kv0 = scaled_kernel(spec, theta1 - v.y, 0)
-        gv = lerp(v.g0_grid[:, j1:j1 + 2], t1)
-        v1 += float(np.mean(v.d * kv0 / v.pi ** 2 - 2.0 * (v.d - v.pi) / v.pi ** 2 * gv))
-    for v in views0:
-        kv2 = scaled_kernel(spec, theta0 - v.y, 2)
-        g2 = lerp(np.asarray(v.g_fit.predict_grid(v.x, 2, cols=[j0, j0 + 1]), dtype=float), t0)
-        m0 += float(_score_values(v.d, kv2, v.pi, g2, 0).mean())
-        kv0 = scaled_kernel(spec, theta0 - v.y, 0)
-        gv = lerp(v.g0_grid[:, j0:j0 + 2], t0)
-        v0 += float(np.mean(
-            (1.0 - v.d) * kv0 / (1.0 - v.pi) ** 2
-            - 2.0 * (v.pi - v.d) / (1.0 - v.pi) ** 2 * gv
-        ))
-    K = len(views1)
-    return m1 / K, m0 / K, kappa0_1 * v1 / K, kappa0_1 * v0 / K
+    fit = _dml_arm_fit(sample, partition, bundle, spec, arm)
+    return DensityCurve(grid=grid, values=fit.curve(grid, order), arm=arm, order=order, spec=spec)
 
 
 def dml_variance_components(sample: Sample, partition: FoldPartition,
@@ -287,9 +276,9 @@ def dml_variance_components(sample: Sample, partition: FoldPartition,
     """Cross-fitted sandwich components ``(m1_hat, m0_hat, v1_hat, v0_hat)``."""
     if len(bundle.folds) != partition.K:
         raise ConfigurationError("nuisance bundle does not match the fold partition")
-    views1 = _fold_views(sample, partition, bundle, 1)
-    views0 = _fold_views(sample, partition, bundle, 0)
-    return _variance_from_views(views1, views0, spec, bundle.grid, theta1, theta0)
+    fits = {arm: _dml_arm_fit(sample, partition, bundle, spec, arm) for arm in (1, 0)}
+    (m1, v1), (m0, v0) = fits[1].components(theta1), fits[0].components(theta0)
+    return m1, m0, v1, v0
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,38 +321,21 @@ def estimate_dml_mte(sample: Sample, config: DMLConfig | None = None) -> MTEResu
     config = config or DMLConfig()
     if config.folds < 2:
         raise ValueError(f"cross-fitting needs at least 2 folds, got {config.folds}")
-    if not 0.0 < config.alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {config.alpha!r}")
-    if sample.arm_count(1) == 0 or sample.arm_count(0) == 0:
-        raise NoOverlapError("mode treatment effect estimation needs both arms")
-    std_sample, _ = standardize_covariates(sample)
+    std_sample, spec, grid = _prepare(sample, config.family, config.bandwidth, config.grid,
+                                      config.grid_points, config.alpha, DML_METHOD,
+                                      _DML_SCALE_MULT)
     n = std_sample.n
-    if config.bandwidth is not None:
-        spec = KernelSpec(config.family, config.bandwidth)
-    else:
-        scale = _DML_SCALE_MULT * robust_scale(std_sample.y)
-        spec = KernelSpec(config.family,
-                          default_bandwidth(n, std_sample.dim, DML_METHOD, scale))
-    if config.grid is not None:
-        grid = np.asarray(config.grid, dtype=float)
-    else:
-        grid = default_grid(std_sample.y, spec.h, config.grid_points)
 
-    partition = None
-    reseeds = 0
     # First attempt plus up to _MAX_RESEEDS re-seeds.
-    for attempt in range(_MAX_RESEEDS + 1):
-        cand = make_folds(n, config.folds, config.seed + attempt)
-        ok = all(
-            std_sample.d[cand.complement(k)].min() == 0
-            and std_sample.d[cand.complement(k)].max() == 1
+    for reseeds in range(_MAX_RESEEDS + 1):
+        partition = make_folds(n, config.folds, config.seed + reseeds)
+        if all(
+            std_sample.d[partition.complement(k)].min() == 0
+            and std_sample.d[partition.complement(k)].max() == 1
             for k in range(config.folds)
-        )
-        if ok:
-            partition = cand
-            reseeds = attempt
+        ):
             break
-    if partition is None:
+    else:
         raise StratificationError(
             f"auxiliary samples kept missing a treatment arm after {_MAX_RESEEDS} fold seeds; "
             "stratified folds would be needed"
@@ -373,34 +345,9 @@ def estimate_dml_mte(sample: Sample, config: DMLConfig | None = None) -> MTEResu
                            pi_learner=config.pi_learner, g_learner=config.g_learner,
                            pi_hyper=config.pi_hyper, g_hyper=config.g_hyper,
                            kappa=config.kappa)
-
-    curves = {}
-    modes = {}
-    views = {}
-    for arm in (1, 0):
-        views[arm] = _fold_views(std_sample, partition, bundle, arm)
-        values = _curve_from_views(views[arm], spec, grid, arm, 0)
-        curve = DensityCurve(grid=grid, values=values, arm=arm, order=0, spec=spec)
-        evaluate = lambda yq, a=arm: _value_from_views(views[a], spec, grid, a, yq, 0)
-        evaluate_deriv = lambda yq, a=arm: _value_from_views(views[a], spec, grid, a, yq, 1)
-        modes[arm] = mode_of_curve(curve, evaluate, evaluate_deriv)
-        curves[arm] = curve
-
-    theta1 = modes[1].theta
-    theta0 = modes[0].theta
-    m1, m0, v1, v0 = _variance_from_views(views[1], views[0], spec, grid, theta1, theta0)
-
-    flags = curve_shape_flags(curves[1].values) + curve_shape_flags(curves[0].values)
-    diag = Diagnostics(
-        flat_curve=any("flat" in f for f in flags),
-        fold_reseeds=reseeds,
-        warnings=tuple(flags),
-    )
-    return build_result(
-        theta1, theta0, m1, m0, v1, v0, n=n, h=spec.h, method=DML_METHOD,
-        family=spec.family, alpha=config.alpha, folds=config.folds,
-        diagnostics=diag, curve1=curves[1], curve0=curves[0],
-    )
+    fits = {arm: _dml_arm_fit(std_sample, partition, bundle, spec, arm) for arm in (1, 0)}
+    return estimate_from_fits(fits, grid, spec, n=n, method=DML_METHOD, alpha=config.alpha,
+                              folds=config.folds, fold_reseeds=reseeds)
 
 
 @dataclass(frozen=True)
@@ -443,10 +390,11 @@ def orthogonality_check(sample: Sample, true_eta: OracleNuisance, direction: Per
     dg = np.asarray(direction.g(x, y), dtype=float)
 
     def mean_score(pi, g):
+        d_a, p_a, r_a = _arm_terms(d, pi, arm)
         if score_kind == "orthogonal":
-            vals = _score_values(d, kv, pi, g, arm)
+            vals = _score(d_a, p_a, r_a, kv, g)
         elif score_kind == "plugin":
-            vals = d * kv / pi if arm == 1 else (1.0 - d) * kv / (1.0 - pi)
+            vals = d_a * kv / p_a
         else:
             raise ValueError(f"unknown score kind {score_kind!r}")
         return float(vals.mean())

@@ -9,25 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (
-    Sample,
-    DensityCurve,
-    _weight_pass,
-    _weighted_curve_values,
-    _weighted_value,
-    default_grid,
-)
+from .density import Sample, _weight_pass, default_grid
 from .errors import ConstantCovariateError, NoOverlapError
-from .kernels import (
-    GAUSSIAN,
-    KERNEL_METHOD,
-    KernelSpec,
-    default_bandwidth,
-    kernel_constants,
-)
+from .kernels import GAUSSIAN, KERNEL_METHOD, KernelSpec, default_bandwidth
 from .learners import clip_propensity
-from .modes import curve_shape_flags, mode_of_curve
-from .results import Diagnostics, MTEResult, build_result
+from .results import MTEResult, estimate_from_fits
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,18 +75,6 @@ def _clipped_share(pi_hat, x, kappa):
     return share
 
 
-def _variance_components(sample, spec, weights, theta1, theta0):
-    """``(m1, m0, v1, v0)`` from one pass's weights: the order-2 curve, and
-    ``kappa0_1`` times the ``c_var``-weighted curve, at each arm's mode."""
-    kappa0_1 = kernel_constants(spec.family).kappa0_1
-    m, v = {}, {}
-    for arm, theta in ((1, theta1), (0, theta0)):
-        _, idx, c, c_var = weights[arm]
-        m[arm] = _weighted_value(c, sample.y[idx], spec, theta, 2, sample.n)
-        v[arm] = kappa0_1 * _weighted_value(c_var, sample.y[idx], spec, theta, 0, sample.n)
-    return m[1], m[0], v[1], v[0]
-
-
 def kernel_variance_components(sample: Sample, spec: KernelSpec, theta1, theta0,
                                pi_hat, kappa=0.01):
     """Plug-in sandwich components at fitted modes.
@@ -111,8 +85,31 @@ def kernel_variance_components(sample: Sample, spec: KernelSpec, theta1, theta0,
     untreated share (arm 0).  ``pi_hat`` maps a covariate matrix to treated
     probabilities; it is clipped to ``[kappa, 1 - kappa]`` before use.
     """
-    weights = _weight_pass(sample, spec, (1, 0), _clipped_share(pi_hat, sample.x, kappa))
-    return _variance_components(sample, spec, weights, theta1, theta0)
+    fits = _weight_pass(sample, spec, (1, 0), _clipped_share(pi_hat, sample.x, kappa))
+    (m1, v1), (m0, v0) = fits[1].components(theta1), fits[0].components(theta0)
+    return m1, m0, v1, v0
+
+
+def _prepare(sample: Sample, family, h, grid, grid_points, alpha, method, scale_mult=1.0):
+    """Preamble shared by both routes: ``(standardized sample, spec, grid)``.
+
+    Checks that both arms are present and ``alpha`` is in (0, 1).  Without
+    ``h`` the bandwidth follows ``method``'s rule on ``scale_mult`` times a
+    robust dispersion of the outcome; without ``grid`` the default grid is used.
+    """
+    if sample.arm_count(1) == 0 or sample.arm_count(0) == 0:
+        raise NoOverlapError("mode treatment effect estimation needs both arms")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    std_sample, _ = standardize_covariates(sample)
+    if h is None:
+        h = default_bandwidth(sample.n, sample.dim, method, scale_mult * robust_scale(sample.y))
+    spec = KernelSpec(family, h)
+    if grid is None:
+        grid = default_grid(sample.y, spec.h, grid_points)
+    else:
+        grid = np.asarray(grid, dtype=float)
+    return std_sample, spec, grid
 
 
 def estimate_kernel_mte(sample: Sample, spec: KernelSpec | None = None, *,
@@ -127,44 +124,7 @@ def estimate_kernel_mte(sample: Sample, spec: KernelSpec | None = None, *,
     regression of treatment on covariates with the same product kernel and
     bandwidth; pass ``pi_hat`` to inject a fitted learner instead.
     """
-    if sample.arm_count(1) == 0 or sample.arm_count(0) == 0:
-        raise NoOverlapError("mode treatment effect estimation needs both arms")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    std_sample, _ = standardize_covariates(sample)
-    if spec is None:
-        h = default_bandwidth(sample.n, sample.dim, KERNEL_METHOD, robust_scale(sample.y))
-        spec = KernelSpec(family, h)
-    if grid is None:
-        grid = default_grid(sample.y, spec.h, grid_points)
-    else:
-        grid = np.asarray(grid, dtype=float)
-
-    weights = _weight_pass(std_sample, spec, (1, 0), _clipped_share(pi_hat, std_sample.x, kappa))
-    n = std_sample.n
-    curves = {}
-    modes = {}
-    for arm in (1, 0):
-        _, idx, c, _ = weights[arm]
-        arm_y = std_sample.y[idx]
-        values = _weighted_curve_values(c, arm_y, spec, grid, 0, n)
-        curve = DensityCurve(grid=grid, values=values, arm=arm, order=0, spec=spec)
-        evaluate = lambda yq, c=c, ay=arm_y: _weighted_value(c, ay, spec, yq, 0, n)
-        evaluate_deriv = lambda yq, c=c, ay=arm_y: _weighted_value(c, ay, spec, yq, 1, n)
-        modes[arm] = mode_of_curve(curve, evaluate, evaluate_deriv)
-        curves[arm] = curve
-
-    theta1 = modes[1].theta
-    theta0 = modes[0].theta
-    m1, m0, v1, v0 = _variance_components(std_sample, spec, weights, theta1, theta0)
-
-    flags = curve_shape_flags(curves[1].values) + curve_shape_flags(curves[0].values)
-    diag = Diagnostics(
-        flat_curve=any("flat" in f for f in flags),
-        warnings=tuple(flags),
-    )
-    return build_result(
-        theta1, theta0, m1, m0, v1, v0, n=n, h=spec.h, method=KERNEL_METHOD,
-        family=spec.family, alpha=alpha, diagnostics=diag,
-        curve1=curves[1], curve0=curves[0],
-    )
+    family, h = (family, None) if spec is None else (spec.family, spec.h)
+    std_sample, spec, grid = _prepare(sample, family, h, grid, grid_points, alpha, KERNEL_METHOD)
+    fits = _weight_pass(std_sample, spec, (1, 0), _clipped_share(pi_hat, std_sample.x, kappa))
+    return estimate_from_fits(fits, grid, spec, n=std_sample.n, method=KERNEL_METHOD, alpha=alpha)

@@ -140,58 +140,10 @@ _CLOSED_FORM = {
 
 @lru_cache(maxsize=None)
 def kernel_constants(family) -> KernelConstants:
-    """Moment constants for a family, computed once and cached.
-
-    Uses closed forms where known and falls back to adaptive Simpson
-    quadrature (absolute tolerance 1e-8) otherwise.
-    """
-    if family in _CLOSED_FORM:
-        k01, k2 = _CLOSED_FORM[family]
-        return KernelConstants(k01, k2)
-    return constants_by_quadrature(family)
-
-
-def constants_by_quadrature(family) -> KernelConstants:
-    """Compute the moment constants by adaptive Simpson quadrature."""
-    lo, hi = kernel_support(family)
-    k01 = adaptive_simpson(lambda u: eval_kernel(family, u, 1) ** 2, lo, hi, 1e-8)
-    k2 = adaptive_simpson(lambda u: u * u * eval_kernel(family, u, 0), lo, hi, 1e-8)
-    return KernelConstants(k01, k2)
-
-
-def adaptive_simpson(f, a, b, tol=1e-8, max_depth=50, panels=16):
-    """Adaptive Simpson quadrature of ``f`` over ``[a, b]`` to absolute ``tol``.
-
-    The interval is pre-split into fixed panels before the adaptive recursion
-    so that functions vanishing at the coarse probe points are still seen.
-    """
-
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        half = 0.5 * eps
-        return recurse(lo, mid, flo, flm, fmid, left, half, depth + 1) + recurse(
-            mid, hi, fmid, frm, fhi, right, half, depth + 1
-        )
-
-    edges = [a + (b - a) * k / panels for k in range(panels + 1)]
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        flo, fmid, fhi = f(lo), f(mid), f(hi)
-        whole = simpson(lo, hi, flo, fmid, fhi)
-        total += recurse(lo, hi, flo, fmid, fhi, whole, tol / panels, 0)
-    return total
+    """Moment constants for a family, from their closed forms, cached."""
+    if family not in _CLOSED_FORM:
+        raise ValueError(f"unknown kernel family {family!r}")
+    return KernelConstants(*_CLOSED_FORM[family])
 
 
 def default_bandwidth(n, d, method, scale):

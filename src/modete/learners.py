@@ -227,7 +227,7 @@ def _targets(y, grid_cols, spec, order):
     return scaled_kernel(spec, grid_cols[None, :] - y[:, None], order)
 
 
-def _fit_ridge_outcome(subset, grid, spec, orders, hyper):
+def _fit_ridge_outcome(subset, grid, spec, hyper):
     n, dim = subset.x.shape
     lam = hyper.get("l2", 1e-4 * n)
     a = np.column_stack([np.ones(n), subset.x])
@@ -236,13 +236,13 @@ def _fit_ridge_outcome(subset, grid, spec, orders, hyper):
     gram = a.T @ a + np.diag(pen)
     chol = cho_factor(gram, lower=True)
     y = subset.y
-    coef = {}
-    for s in orders:
-        coef[s] = cho_solve(chol, a.T @ _targets(y, grid, spec, s))
+    # Order 0 is read over the whole grid; orders 1 and 2 only at a few
+    # columns, so they are solved on demand for the requested columns.
+    coef0 = cho_solve(chol, a.T @ _targets(y, grid, spec, 0))
 
     def coef_for(order, cols):
-        if order in coef:
-            return coef[order] if cols is None else coef[order][:, cols]
+        if order == 0:
+            return coef0 if cols is None else coef0[:, cols]
         rhs = a.T @ _targets(y, grid if cols is None else grid[cols], spec, order)
         return cho_solve(chol, rhs)
 
@@ -273,7 +273,7 @@ def _fit_knn_outcome(subset, grid, spec, hyper):
 
 
 def fit_smoothed_outcome(subset: Sample, arm, grid, spec: KernelSpec,
-                         learner="ridge", orders=(0, 1, 2), hyper=None):
+                         learner="ridge", hyper=None):
     """Fit the arm-restricted smoothed-outcome regressions over a grid.
 
     ``subset`` must already be restricted to the requested arm.  All grid
@@ -289,7 +289,7 @@ def fit_smoothed_outcome(subset: Sample, arm, grid, spec: KernelSpec,
     if not np.all(subset.d == arm):
         raise ValueError(f"subset must contain only arm-{arm} observations")
     if learner == "ridge":
-        predict_grid = _fit_ridge_outcome(subset, grid, spec, tuple(orders), hyper)
+        predict_grid = _fit_ridge_outcome(subset, grid, spec, hyper)
     elif learner == "knn":
         predict_grid = _fit_knn_outcome(subset, grid, spec, hyper)
     else:

@@ -3,55 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from statistics import NormalDist
 
 from .density import DensityCurve
-
-# Coefficients of the standard rational approximation to the inverse normal
-# CDF (Acklam), accurate to ~1.2e-9 before refinement.
-_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_D = (
-    7.784695709041462e-03, 3.224671290700398e-01,
-    2.445134137142996e+00, 3.754408661907416e+00,
-)
-_P_LOW = 0.02425
-
-
-def normal_quantile(p):
-    """Inverse standard-normal CDF via a rational approximation.
-
-    One Halley refinement step brings the result to near machine precision.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile level must be in (0, 1), got {p!r}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    # Halley step against the exact CDF.
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+from .modes import curve_shape_flags, mode_of_curve
 
 
 @dataclass(frozen=True)
@@ -109,7 +65,7 @@ def _arm_se(m_hat, v_hat, n, h):
 def build_result(theta1, theta0, m1_hat, m0_hat, v1_hat, v0_hat, n, h, method,
                  family, alpha, folds=None, diagnostics=None, curve1=None, curve0=None):
     """Assemble an :class:`MTEResult` from point estimates and components."""
-    z = normal_quantile(1.0 - alpha / 2.0)
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     se1 = _arm_se(m1_hat, v1_hat, n, h)
     se0 = _arm_se(m0_hat, v0_hat, n, h)
     se_delta = math.sqrt(se1 * se1 + se0 * se0)
@@ -120,12 +76,8 @@ def build_result(theta1, theta0, m1_hat, m0_hat, v1_hat, v0_hat, n, h, method,
     if v1_hat < 0 or v0_hat < 0:
         extra.append("negative score-variance component; standard errors reported as infinite")
     diag = diagnostics or Diagnostics()
-    diag = Diagnostics(
-        flat_curve=diag.flat_curve,
-        m_hat_sign=(m1_hat >= 0 or m0_hat >= 0),
-        fold_reseeds=diag.fold_reseeds,
-        warnings=tuple(diag.warnings) + tuple(extra),
-    )
+    diag = replace(diag, m_hat_sign=(m1_hat >= 0 or m0_hat >= 0),
+                   warnings=tuple(diag.warnings) + tuple(extra))
     return MTEResult(
         theta1=theta1, theta0=theta0, delta=delta,
         m1_hat=m1_hat, m0_hat=m0_hat, v1_hat=v1_hat, v0_hat=v0_hat,
@@ -135,4 +87,32 @@ def build_result(theta1, theta0, m1_hat, m0_hat, v1_hat, v0_hat, n, h, method,
         ci_delta=(delta - z * se_delta, delta + z * se_delta),
         n=n, h=h, method=method, family=family, alpha=alpha, folds=folds,
         diagnostics=diag, curve1=curve1, curve0=curve0,
+    )
+
+
+def estimate_from_fits(fits, grid, spec, *, n, method, alpha, folds=None, fold_reseeds=0):
+    """The part both routes share once each arm is fitted.
+
+    ``fits`` maps each arm to a fit with ``curve(grid, order=0)``,
+    ``value(y, order=0)`` and ``components(theta) -> (m_hat, v_hat)``.  Each
+    arm's order-0 curve is searched for its mode (refined with the exact
+    order-0 value, with the order-1 value as the first-order-condition
+    residual); the sandwich components are taken at the modes, and the
+    curves' shape flags go into the diagnostics.
+    """
+    curves, theta = {}, {}
+    for arm, fit in fits.items():
+        curves[arm] = DensityCurve(grid=grid, values=fit.curve(grid), arm=arm, order=0, spec=spec)
+        theta[arm] = mode_of_curve(curves[arm], fit.value, lambda yq, f=fit: f.value(yq, 1)).theta
+    (m1, v1), (m0, v0) = fits[1].components(theta[1]), fits[0].components(theta[0])
+    flags = curve_shape_flags(curves[1].values) + curve_shape_flags(curves[0].values)
+    diag = Diagnostics(
+        flat_curve=any("flat" in f for f in flags),
+        fold_reseeds=fold_reseeds,
+        warnings=tuple(flags),
+    )
+    return build_result(
+        theta[1], theta[0], m1, m0, v1, v0, n=n, h=spec.h, method=method,
+        family=spec.family, alpha=alpha, folds=folds, diagnostics=diag,
+        curve1=curves[1], curve0=curves[0],
     )

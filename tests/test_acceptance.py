@@ -16,7 +16,6 @@ from scipy.integrate import quad
 
 import modete as m
 from modete.cli import main
-from modete.density import _marginal_weights, _weighted_curve_values, _weighted_value
 from modete.kernels import kernel_support
 
 
@@ -30,14 +29,9 @@ def kernel_theta1(sample):
     h = m.default_bandwidth(sample.n, sample.dim, "kernel", m.robust_scale(sample.y))
     spec = m.KernelSpec(m.GAUSSIAN, h)
     grid = m.default_grid(std.y, h)
-    (_, idx, c), = _marginal_weights(std, spec, arms=(1,)).values()
-    ay = std.y[idx]
-    values = _weighted_curve_values(c, ay, spec, grid, 0, std.n)
-    curve = m.DensityCurve(grid, values, 1, 0, spec)
-    loc = m.mode_of_curve(
-        curve,
-        evaluate=lambda q: _weighted_value(c, ay, spec, q, 0, std.n),
-    )
+    fit = m.marginal_arm_fit(std, 1, spec)
+    curve = m.DensityCurve(grid, fit.curve(grid), 1, 0, spec)
+    loc = m.mode_of_curve(curve, evaluate=fit.value)
     return loc.theta, h
 
 

@@ -72,7 +72,13 @@ class TestEstimateKernelMTE:
 
     def test_ci_width_matches_normal_quantile(self, lognormal_plain):
         sample = m.generate(lognormal_plain, 800, seed=4)
-        res = m.estimate_kernel_mte(sample, alpha=0.05)
+        results = {alpha: m.estimate_kernel_mte(sample, alpha=alpha)
+                   for alpha in (0.001, 0.01, 0.05, 0.1, 0.5)}
+        for alpha, r in results.items():
+            for ci, se in ((r.ci1, r.se1), (r.ci0, r.se0), (r.ci_delta, r.se_delta)):
+                assert (ci[1] - ci[0]) / se == pytest.approx(2.0 * ndtri(1.0 - alpha / 2.0),
+                                                             rel=1e-12)
+        res = results[0.05]
         for ci, se in ((res.ci1, res.se1), (res.ci0, res.se0), (res.ci_delta, res.se_delta)):
             assert (ci[1] - ci[0]) / se == pytest.approx(2.0 * 1.959964, abs=1e-6)
             assert ci[0] <= res.theta1 or True  # bounds bracket their own point below
@@ -111,6 +117,15 @@ class TestEstimateKernelMTE:
         s = m.Sample([1.0, 2.0], [1, 1], [[0.1], [0.5]])
         with pytest.raises(m.NoOverlapError):
             m.estimate_kernel_mte(s)
+
+    def test_alpha_outside_unit_interval_rejected(self, lognormal_plain):
+        """Both routes share the preamble that rejects a CI level outside (0, 1)."""
+        sample = m.generate(lognormal_plain, 60, seed=1)
+        for alpha in (0.0, 1.0, -0.5, 2.0):
+            with pytest.raises(ValueError):
+                m.estimate_kernel_mte(sample, alpha=alpha)
+            with pytest.raises(ValueError):
+                m.estimate_dml_mte(sample, m.DMLConfig(alpha=alpha))
 
     def test_curvature_flag_on_healthy_fit(self, lognormal_plain):
         sample = m.generate(lognormal_plain, 2000, seed=3)
@@ -222,19 +237,6 @@ def test_nonnegative_curvature_sets_diagnostics_flag():
                        method="kernel", family="gaussian", alpha=0.05)
     assert res.diagnostics.m_hat_sign
     assert any("curvature" in w for w in res.diagnostics.warnings)
-
-
-class TestNormalQuantile:
-    def test_against_scipy_oracle(self):
-        for p in np.concatenate([
-            np.linspace(1e-6, 1 - 1e-6, 41), [0.001, 0.01, 0.024, 0.975, 0.99, 0.999]
-        ]):
-            assert m.normal_quantile(p) == pytest.approx(ndtri(p), abs=1e-8)
-
-    def test_rejects_out_of_range(self):
-        for p in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                m.normal_quantile(p)
 
 
 def test_robust_scale_uses_min_of_sd_and_iqr():

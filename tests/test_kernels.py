@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import modete as m
-from modete.kernels import adaptive_simpson, constants_by_quadrature, kernel_support
+from modete.kernels import kernel_support
 
 from conftest import central_difference
 
@@ -132,19 +132,10 @@ def test_kernel_constants_against_quadrature_oracle(family):
     got = m.kernel_constants(family)
     assert got.kappa0_1 == pytest.approx(k01_oracle, abs=1e-6)
     assert got.kappa2 == pytest.approx(k2_oracle, abs=1e-6)
-    # The in-house adaptive Simpson fallback agrees too.
-    alt = constants_by_quadrature(family)
-    assert alt.kappa0_1 == pytest.approx(got.kappa0_1, abs=1e-7)
-    assert alt.kappa2 == pytest.approx(got.kappa2, abs=1e-7)
 
 
 def test_kernel_constants_cached():
     assert m.kernel_constants(m.GAUSSIAN) is m.kernel_constants(m.GAUSSIAN)
-
-
-def test_adaptive_simpson_known_integral():
-    val = adaptive_simpson(math.sin, 0.0, math.pi, 1e-10)
-    assert val == pytest.approx(2.0, abs=1e-9)
 
 
 def test_default_bandwidth_rules():

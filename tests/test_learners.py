@@ -184,6 +184,7 @@ class TestFitSmoothedOutcome:
         for learner in ("ridge", "knn"):
             fit = m.fit_smoothed_outcome(s, 1, grid, spec, learner=learner)
             xq = s.x[:4]
-            full = fit.predict_grid(xq, 2)
-            cols = fit.predict_grid(xq, 2, cols=[3, 9])
-            assert np.allclose(full[:, [3, 9]], cols, atol=1e-12)
+            for order in (0, 1, 2):
+                full = fit.predict_grid(xq, order)
+                cols = fit.predict_grid(xq, order, cols=[3, 9])
+                assert np.allclose(full[:, [3, 9]], cols, atol=1e-12)

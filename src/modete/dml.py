@@ -252,6 +252,14 @@ class _DMLArmFit:
         return self.value(theta, 2), kappa0_1 * v_sum / len(self.views)
 
 
+def _check_bundle(partition, bundle, spec):
+    """Reject a kernel or fold partition other than the bundle was fitted with."""
+    if spec != bundle.spec:
+        raise ConfigurationError("kernel spec does not match the one the nuisances were fitted with")
+    if len(bundle.folds) != partition.K:
+        raise ConfigurationError("nuisance bundle does not match the fold partition")
+
+
 def dml_density_curve(sample: Sample, partition: FoldPartition, bundle: NuisanceBundle,
                       spec: KernelSpec, grid, arm, order=0) -> DensityCurve:
     """Cross-fitted orthogonal-score density curve for one arm.
@@ -263,10 +271,7 @@ def dml_density_curve(sample: Sample, partition: FoldPartition, bundle: Nuisance
     grid = np.asarray(grid, dtype=float)
     if not np.array_equal(grid, bundle.grid):
         raise ConfigurationError("query grid does not match the grid the nuisances were fitted on")
-    if spec != bundle.spec:
-        raise ConfigurationError("kernel spec does not match the one the nuisances were fitted with")
-    if len(bundle.folds) != partition.K:
-        raise ConfigurationError("nuisance bundle does not match the fold partition")
+    _check_bundle(partition, bundle, spec)
     fit = _dml_arm_fit(sample, partition, bundle, spec, arm)
     return DensityCurve(grid=grid, values=fit.curve(grid, order), arm=arm, order=order, spec=spec)
 
@@ -274,8 +279,7 @@ def dml_density_curve(sample: Sample, partition: FoldPartition, bundle: Nuisance
 def dml_variance_components(sample: Sample, partition: FoldPartition,
                             bundle: NuisanceBundle, spec: KernelSpec, theta1, theta0):
     """Cross-fitted sandwich components ``(m1_hat, m0_hat, v1_hat, v0_hat)``."""
-    if len(bundle.folds) != partition.K:
-        raise ConfigurationError("nuisance bundle does not match the fold partition")
+    _check_bundle(partition, bundle, spec)
     fits = {arm: _dml_arm_fit(sample, partition, bundle, spec, arm) for arm in (1, 0)}
     (m1, v1), (m0, v0) = fits[1].components(theta1), fits[0].components(theta0)
     return m1, m0, v1, v0

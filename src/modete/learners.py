@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .density import _DEN_FLOOR, Sample, _product_weights_block
+from .density import _DEN_FLOOR, Sample, _block_rows, _product_weights_block
 from .errors import ConvergenceError, NoDataError, NoOverlapError
 from .kernels import GAUSSIAN, KernelSpec, scaled_kernel
 
@@ -133,32 +133,71 @@ def _fit_logistic(x, d, hyper):
     return predict
 
 
-def _knn_neighbors(train, query, k):
-    """Indices of the k nearest training rows per query, stable under ties.
+def _nearest(train, query, k):
+    """Indices of the k nearest training rows for each query row, ascending.
 
-    The selected indices are returned in ascending order so neighborhood
-    averages reduce in a canonical order (a full neighborhood reproduces the
-    plain arm average bit-for-bit).
+    These are the first k rows of a stable sort by squared distance: every
+    row closer than the k-th distance, then the lowest-index rows at exactly
+    that distance.  Ascending indices make neighborhood averages reduce in a
+    canonical order (a full neighborhood reproduces the plain arm average
+    bit-for-bit).
     """
     d2 = np.sum((query[:, None, :] - train[None, :, :]) ** 2, axis=-1)
-    order = np.argsort(d2, axis=1, kind="stable")
-    nb = order[:, :k]
-    nb.sort(axis=1)
-    return nb
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    keep = d2 < kth
+    ties = d2 == kth
+    ties &= np.cumsum(ties, axis=1) <= k - keep.sum(axis=1, keepdims=True)
+    keep |= ties
+    return np.nonzero(keep)[1].reshape(-1, k)
+
+
+class _Neighbors:
+    """Brute-force k-nearest-neighbor search on standardized covariates.
+
+    Both the distance search and the neighborhood averages run in query-row
+    blocks bounded by the shared block budget.  The neighbors of the last
+    query set are kept: the cross-fitted route queries each fit repeatedly
+    on the same fold rows (once per arm, once per derivative order).
+    """
+
+    def __init__(self, x, hyper):
+        n = x.shape[0]
+        k = int(hyper.get("k") or math.ceil(n ** 0.6))
+        self.k = min(max(k, 1), n)
+        self.mu, self.sd = _standardizer(x)
+        self.train = (x - self.mu) / self.sd
+        self._last = (None, None)  # (standardized query, its neighbor indices)
+
+    def neighbors(self, xq):
+        query = (np.atleast_2d(np.asarray(xq, dtype=float)) - self.mu) / self.sd
+        last_query, last_nb = self._last
+        # ``query`` is a fresh array, so a caller mutating ``xq`` later
+        # cannot alter the remembered key.
+        if last_query is not None and np.array_equal(query, last_query):
+            return last_nb
+        nb = np.empty((query.shape[0], self.k), dtype=np.intp)
+        step = _block_rows(self.train.size)
+        for s in range(0, query.shape[0], step):
+            nb[s:s + step] = _nearest(self.train, query[s:s + step], self.k)
+        self._last = (query, nb)
+        return nb
+
+    def average(self, targets, xq):
+        """Mean of the training ``targets`` rows over each query's neighbors."""
+        nb = self.neighbors(xq)
+        out = np.empty((nb.shape[0],) + targets.shape[1:])
+        step = _block_rows(self.k * targets[0].size)
+        for s in range(0, nb.shape[0], step):
+            out[s:s + step] = targets[nb[s:s + step]].mean(axis=1)
+        return out
 
 
 def _fit_knn_propensity(x, d, hyper):
-    n = x.shape[0]
-    k = int(hyper.get("k") or math.ceil(n ** 0.6))
-    k = min(max(k, 1), n)
-    mu, sd = _standardizer(x)
-    train = (x - mu) / sd
+    index = _Neighbors(x, hyper)
     labels = d.astype(float)
 
     def predict(xq):
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        nb = _knn_neighbors(train, (xq - mu) / sd, k)
-        return labels[nb].mean(axis=1)
+        return index.average(labels, xq)
 
     return predict
 
@@ -255,19 +294,12 @@ def _fit_ridge_outcome(subset, grid, spec, hyper):
 
 
 def _fit_knn_outcome(subset, grid, spec, hyper):
-    n = subset.n
-    k = int(hyper.get("k") or math.ceil(n ** 0.6))
-    k = min(max(k, 1), n)
-    mu, sd = _standardizer(subset.x)
-    train = (subset.x - mu) / sd
+    index = _Neighbors(subset.x, hyper)
     y = subset.y
 
     def predict_grid(xq, order, cols=None):
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        nb = _knn_neighbors(train, (xq - mu) / sd, k)
         cols_grid = grid if cols is None else grid[cols]
-        targets = _targets(y, cols_grid, spec, order)
-        return targets[nb].mean(axis=1)
+        return index.average(_targets(y, cols_grid, spec, order), xq)
 
     return predict_grid
 

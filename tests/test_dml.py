@@ -160,6 +160,21 @@ class TestDmlDensityCurve:
             short = m.FoldPartition(assignments=part.assignments % 2, K=2, seed=1)
             m.dml_density_curve(s, short, bundle, spec, grid, arm=1)
 
+    def test_variance_components_reject_foreign_spec(self, lognormal_plain):
+        """Nuisances fitted at h = 0.4 cannot be read with a kernel at h = 2."""
+        sample, _ = m.standardize_covariates(m.generate(lognormal_plain, 400, seed=0))
+        spec = m.KernelSpec(m.GAUSSIAN, 0.4)
+        part = m.make_folds(sample.n, 5, seed=0)
+        bundle = m.fit_nuisances(sample, part, spec, m.default_grid(sample.y, spec.h))
+        assert all(map(math.isfinite, m.dml_variance_components(sample, part, bundle, spec,
+                                                                1.0, 1.0)))
+        with pytest.raises(m.ConfigurationError):
+            m.dml_variance_components(sample, part, bundle, m.KernelSpec(m.GAUSSIAN, 2.0),
+                                      1.0, 1.0)
+        with pytest.raises(m.ConfigurationError):
+            short = m.FoldPartition(assignments=part.assignments % 2, K=2, seed=0)
+            m.dml_variance_components(sample, short, bundle, spec, 1.0, 1.0)
+
     def test_integral_close_to_one(self, lognormal_plain):
         sample = m.generate(lognormal_plain, 2000, seed=6)
         res = m.estimate_dml_mte(sample, m.DMLConfig(seed=6))

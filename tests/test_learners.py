@@ -1,6 +1,7 @@
 """Propensity and smoothed-outcome learners."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,3 +189,91 @@ class TestFitSmoothedOutcome:
                 full = fit.predict_grid(xq, order)
                 cols = fit.predict_grid(xq, order, cols=[3, 9])
                 assert np.allclose(full[:, [3, 9]], cols, atol=1e-12)
+
+
+def knn_oracle(x, xq, k, targets):
+    """Brute-force KNN averages: covariates standardized on the training rows,
+    the first k rows of a stable sort by squared distance, their targets
+    averaged in ascending row order.  Also returns the squared distances."""
+    mu = x.mean(axis=0)
+    sd = x.std(axis=0, ddof=1)
+    sd = np.where(sd > 0, sd, 1.0)
+    train, query = (x - mu) / sd, (xq - mu) / sd
+    d2 = np.sum((query[:, None, :] - train[None, :, :]) ** 2, axis=-1)
+    nb = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
+    return targets[nb].mean(axis=1), d2
+
+
+class TestKnnNeighbors:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, None, 600], ids=["k1", "default", "all"])
+    @pytest.mark.parametrize("rounded", [False, True], ids=["random", "tied"])
+    def test_matches_stable_sort_oracle(self, dim, k, rounded):
+        """Exact agreement, ties at the k-th distance included; 500 queries
+        against 600 rows span several query blocks."""
+        rng = np.random.default_rng(dim)
+        n = 600
+        x, xq = rng.random((n, dim)), rng.random((500, dim))
+        if rounded:
+            x, xq = np.round(x, 1), np.round(xq, 1)
+        y = rng.normal(size=n)
+        d = (rng.random(n) < 0.5).astype(int)
+        kk = k or math.ceil(n ** 0.6)
+        hyper = {"k": k} if k else None
+        pi = m.fit_propensity(m.Sample(y, d, x), learner="knn", hyper=hyper)
+        want, d2 = knn_oracle(x, xq, kk, d.astype(float))
+        assert np.array_equal(pi.predict(xq), want)
+        if rounded and kk < n:
+            ordered = np.sort(d2, axis=1)
+            assert np.any(ordered[:, kk - 1] == ordered[:, kk])  # ties cross the boundary
+        spec = m.KernelSpec(m.GAUSSIAN, 0.5)
+        grid = np.linspace(-2, 2, 9)
+        g = m.fit_smoothed_outcome(m.Sample(y, np.ones(n, int), x), 1, grid, spec,
+                                   learner="knn", hyper=hyper)
+        for order, cols in ((0, None), (2, None), (1, [4])):
+            targets = m.scaled_kernel(spec, (grid if cols is None else grid[cols])[None, :]
+                                      - y[:, None], order)
+            want = knn_oracle(x, xq, kk, targets)[0]
+            assert np.array_equal(g.predict_grid(xq, order, cols=cols), want)
+
+    def test_repeated_and_mutated_queries_match_fresh_fits(self):
+        rng = np.random.default_rng(12)
+        n = 200
+        s = m.Sample(rng.normal(size=n), (rng.random(n) < 0.5).astype(int), rng.random((n, 2)))
+        arm = m.Sample(s.y, np.ones(n, int), s.x)
+        spec = m.KernelSpec(m.GAUSSIAN, 0.5)
+        grid = np.linspace(-2, 2, 9)
+
+        def fits():
+            return (m.fit_propensity(s, learner="knn"),
+                    m.fit_smoothed_outcome(arm, 1, grid, spec, learner="knn"))
+
+        pi, g = fits()
+        x, x2 = rng.random((50, 2)), rng.random((50, 2))
+        for query, mutate in ((x, False), (x2, False), (x, True), (x, True), (x.copy(), False)):
+            if mutate:
+                query[::2] = 1.0 - query[::2]
+            fresh_pi, fresh_g = fits()
+            assert np.array_equal(pi.predict(query), fresh_pi.predict(query))
+            for order in (0, 1):
+                assert np.array_equal(g.predict_grid(query, order),
+                                      fresh_g.predict_grid(query, order))
+
+    def test_block_memory_is_bounded(self):
+        """Peak allocation stays under six block budgets, the neighbor table
+        (8 bytes per neighbor) and four n-by-grid arrays; the all-pairs
+        distance matrix alone would need 1.15 GB here."""
+        from modete.density import _BLOCK_BYTES
+
+        n = 12_000
+        s = arm_sample(n, 13)
+        grid = np.linspace(-2, 2, 64)
+        k = math.ceil(n ** 0.6)
+        tracemalloc.start()
+        try:
+            fit = m.fit_smoothed_outcome(s, 1, grid, m.KernelSpec(m.GAUSSIAN, 0.5), learner="knn")
+            fit.predict_grid(s.x, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * _BLOCK_BYTES + 8 * n * (k + 4 * grid.size)

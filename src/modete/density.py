@@ -163,6 +163,37 @@ def _product_weights_block(x_block, x_all, spec):
     return w
 
 
+def _kernel_sums(spec, grid, y, w, order=0):
+    """Weighted outcome-kernel sums ``K_h^(order)(grid[:, None] - y) @ w``.
+
+    ``w`` is one weight per point of ``y``, or a few weight columns; the
+    result has one row per grid point.  Kernels are evaluated one chunk of
+    grid points at a time, each chunk within the block budget.  The order-0
+    Gaussian chunk is filled in place with one ``exp``, with the same
+    arithmetic as :func:`scaled_kernel`, so it gives the same bits.
+    """
+    out = np.empty((grid.size,) + w.shape[1:])
+    step = _block_rows(max(y.size, 1))
+    fused = order == 0 and spec.family == GAUSSIAN
+    if fused:
+        buf = np.empty((min(step, grid.size), y.size))
+    for start in range(0, grid.size, step):
+        g = grid[start:start + step]
+        if fused:
+            k = buf[:g.size]
+            np.subtract.outer(g, y, out=k)
+            k /= spec.h
+            k *= k
+            k *= -0.5
+            np.exp(k, out=k)
+            k /= _SQRT_2PI
+            k *= spec.h ** -1
+        else:
+            k = scaled_kernel(spec, g[:, None] - y[None, :], order)
+        out[start:start + step] = k @ w
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class KernelArmFit:
     """One arm's kernel-route fit: curve weights over the arm's outcomes.
@@ -181,14 +212,8 @@ class KernelArmFit:
     n: int
 
     def curve(self, grid, order=0):
-        """Curve values over a grid, one bounded chunk of grid points at a time."""
-        out = np.empty(len(grid))
-        step = _block_rows(max(self.y.size, 1))
-        for start in range(0, len(grid), step):
-            stop = min(start + step, len(grid))
-            k = scaled_kernel(self.spec, grid[start:stop, None] - self.y[None, :], order)
-            out[start:stop] = k @ self.c / self.n
-        return out
+        """Curve values over a grid."""
+        return _kernel_sums(self.spec, grid, self.y, self.c, order) / self.n
 
     def value(self, y, order=0):
         """Curve value at one outcome point."""

@@ -22,11 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-from .density import DensityCurve, Sample
+from .density import DensityCurve, Sample, _kernel_sums
 from .errors import ConfigurationError, NoDataError, StratificationError
 from .kernels import DML_METHOD, GAUSSIAN, KernelSpec, kernel_constants, scaled_kernel
 from .kernel_mte import _prepare
-from .learners import PropensityFit, SmoothedOutcomeFit, fit_propensity, fit_smoothed_outcome
+from .learners import (
+    PropensityFit, SmoothedOutcomeFit, _fit_outcome, _ridge_stats, fit_propensity,
+)
 from .results import MTEResult, estimate_from_fits
 
 
@@ -97,8 +99,20 @@ def fit_nuisances(sample: Sample, partition: FoldPartition, spec: KernelSpec, gr
     """Fit the propensity and both smoothed-outcome regressions per fold.
 
     Fold ``k``'s record is fitted using only observations outside fold ``k``.
+    Ridge statistics are computed once per fold and arm; fold ``k``'s fit
+    sums those of the other folds in canonical fold order.  Summing, rather
+    than subtracting fold ``k`` from a total, keeps each fit free of fold
+    ``k``'s data bit for bit, and the order keeps fold labels invisible.
     """
     grid = np.asarray(grid, dtype=float)
+    fold_stats = {}
+    if g_learner == "ridge":
+        for f in range(partition.K):
+            idx = partition.indices(f)
+            for arm in (1, 0):
+                rows = idx[sample.d[idx] == arm]
+                fold_stats[arm, f] = _ridge_stats(sample.x[rows], sample.y[rows], grid, spec)
+    order = _canonical_fold_order(partition)
     folds = []
     for k in range(partition.K):
         aux = sample.subset(partition.complement(k))
@@ -106,8 +120,13 @@ def fit_nuisances(sample: Sample, partition: FoldPartition, spec: KernelSpec, gr
             if aux.arm_count(arm) == 0:
                 raise NoDataError(f"auxiliary sample of fold {k} has no arm-{arm} observations")
         pi = fit_propensity(aux, learner=pi_learner, hyper=pi_hyper, clip_kappa=kappa)
-        g = {arm: fit_smoothed_outcome(aux.subset(aux.arm_indices(arm)), arm, grid, spec,
-                                       learner=g_learner, hyper=g_hyper) for arm in (1, 0)}
+        g = {}
+        for arm in (1, 0):
+            stats = None
+            if fold_stats:
+                stats = tuple(map(sum, zip(*(fold_stats[arm, f] for f in order if f != k))))
+            g[arm] = _fit_outcome(aux.subset(aux.arm_indices(arm)), arm, grid, spec,
+                                  g_learner, g_hyper, stats)
         folds.append(FoldNuisance(pi=pi, g1=g[1], g0=g[0]))
     return NuisanceBundle(folds=tuple(folds), grid=grid, spec=spec)
 
@@ -155,8 +174,8 @@ def _canonical_fold_order(partition: FoldPartition):
 
 @dataclass(frozen=True, eq=False)
 class _FoldView:
-    """One fold's slices and cached nuisance evaluations for one arm, with
-    the arm's score terms ``d_a``, ``p_a`` and ``r_a`` (see :func:`_arm_terms`)."""
+    """One fold's slices for one arm, with the arm's score terms ``d_a``,
+    ``p_a`` and ``r_a`` (see :func:`_arm_terms`) and its outcome fit."""
 
     y: np.ndarray
     x: np.ndarray
@@ -164,17 +183,10 @@ class _FoldView:
     p_a: np.ndarray
     r_a: np.ndarray
     g_fit: SmoothedOutcomeFit
-    g0_grid: np.ndarray  # order-0 predictions on the full grid
-
-    def g(self, order, cols=None):
-        """Outcome-fit predictions at the fold's covariates; order 0 is cached."""
-        if order == 0:
-            return self.g0_grid if cols is None else self.g0_grid[:, cols]
-        return np.asarray(self.g_fit.predict_grid(self.x, order, cols=cols), dtype=float)
 
     def g_at(self, order, j, t):
         """Predictions at an off-grid point, linear between columns ``j, j+1``."""
-        cols = self.g(order, [j, j + 1])
+        cols = np.asarray(self.g_fit.predict_grid(self.x, order, cols=[j, j + 1]), dtype=float)
         return (1.0 - t) * cols[:, 0] + t * cols[:, 1]
 
 
@@ -188,10 +200,7 @@ def _dml_arm_fit(sample, partition, bundle, spec, arm):
         g_fit = rec.g1 if arm == 1 else rec.g0
         pi = np.asarray(rec.pi.predict_clipped(x), dtype=float)
         d_a, p_a, r_a = _arm_terms(sample.d[idx].astype(float), pi, arm)
-        views.append(_FoldView(
-            y=sample.y[idx], x=x, d_a=d_a, p_a=p_a, r_a=r_a, g_fit=g_fit,
-            g0_grid=np.asarray(g_fit.predict_grid(x, 0), dtype=float),
-        ))
+        views.append(_FoldView(y=sample.y[idx], x=x, d_a=d_a, p_a=p_a, r_a=r_a, g_fit=g_fit))
     return _DMLArmFit(views, spec, bundle.grid)
 
 
@@ -213,11 +222,17 @@ class _DMLArmFit:
     grid: np.ndarray
 
     def curve(self, grid, order=0):
+        """Curve values over the fits' grid.
+
+        A fold's mean score is a kernel sum over the fold's rows in the arm,
+        weighted ``1 / p_a``, minus the ``r_a / p_a``-weighted sum of the
+        outcome fit's predictions; neither forms a (rows, grid) matrix.
+        """
         total = np.zeros(grid.size)
         for v in self.views:
-            kv = scaled_kernel(self.spec, grid[None, :] - v.y[:, None], order)
-            g = v.g(order)
-            total += _score(v.d_a[:, None], v.p_a[:, None], v.r_a[:, None], kv, g).mean(axis=0)
+            own = v.d_a == 1.0
+            direct = _kernel_sums(self.spec, grid, v.y[own], 1.0 / v.p_a[own], order)
+            total += (direct - v.g_fit.weighted_grid_sum(v.x, v.r_a / v.p_a, order)) / v.y.size
         return total / len(self.views)
 
     def value(self, yq, order=0):

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .density import _DEN_FLOOR, Sample, _block_rows, _product_weights_block
+from .density import _DEN_FLOOR, Sample, _block_rows, _kernel_sums, _product_weights_block
 from .errors import ConvergenceError, NoDataError, NoOverlapError
 from .kernels import GAUSSIAN, KernelSpec, scaled_kernel
 
@@ -67,6 +67,11 @@ class PropensityFit:
         return clip_propensity(p, self.clip_kappa)
 
 
+def _design(x):
+    """Design matrix ``[1, x]`` with an intercept column."""
+    return np.column_stack([np.ones(x.shape[0]), x])
+
+
 def _standardizer(x):
     """Location/scale pair from training covariates; zero-spread columns keep scale 1."""
     mu = x.mean(axis=0)
@@ -89,7 +94,7 @@ def _fit_logistic(x, d, hyper):
     lam = hyper.get("l2", 1e-4 * n)
     tol = hyper.get("tol", 1e-8)
     max_iter = hyper.get("max_iter", 100)
-    a = np.column_stack([np.ones(n), x])
+    a = _design(x)
     pen = np.zeros(dim + 1)
     pen[1:] = lam
     beta = np.zeros(dim + 1)
@@ -260,37 +265,64 @@ class SmoothedOutcomeFit:
     predict: Callable
     predict_grid: Callable
 
+    def weighted_grid_sum(self, xq, w, order=0):
+        """``w @ predict_grid(xq, order)``: the ``w``-weighted sum of the
+        query rows' predictions over the whole grid."""
+        return w @ self.predict_grid(xq, order)
+
+
+@dataclass(frozen=True)
+class _LearnedOutcomeFit(SmoothedOutcomeFit):
+    """A fit from :func:`fit_smoothed_outcome`, whose learner forms the
+    weighted sum without the (queries, grid) prediction matrix."""
+
+    grid_sum: Callable
+
+    def weighted_grid_sum(self, xq, w, order=0):
+        return self.grid_sum(np.atleast_2d(np.asarray(xq, dtype=float)), w, order)
+
 
 def _targets(y, grid_cols, spec, order):
     """Target matrix ``K_h^(order)(grid_cols[j] - y_i)`` of shape (n, len(cols))."""
     return scaled_kernel(spec, grid_cols[None, :] - y[:, None], order)
 
 
-def _fit_ridge_outcome(subset, grid, spec, hyper):
+def _ridge_stats(x, y, grid, spec):
+    """Sufficient statistics ``(A^T A, A^T T)`` of a ridge fit on these rows,
+    with design ``A = [1, x]`` and order-0 targets ``T = K_h(grid - y)``.
+
+    Statistics of disjoint row sets add up to those of their union.
+    """
+    a = _design(x)
+    return a.T @ a, _kernel_sums(spec, grid, y, a).T
+
+
+def _fit_ridge_outcome(subset, grid, spec, hyper, stats):
     n, dim = subset.x.shape
     lam = hyper.get("l2", 1e-4 * n)
-    a = np.column_stack([np.ones(n), subset.x])
+    a = _design(subset.x)
+    y = subset.y
+    gram, rhs0 = stats if stats is not None else _ridge_stats(subset.x, y, grid, spec)
     pen = np.zeros(dim + 1)
     pen[1:] = lam
-    gram = a.T @ a + np.diag(pen)
-    chol = cho_factor(gram, lower=True)
-    y = subset.y
-    # Order 0 is read over the whole grid; orders 1 and 2 only at a few
+    chol = cho_factor(gram + np.diag(pen), lower=True)
+    # Order 0 is read over the whole grid; orders 1 and 2 mostly at a few
     # columns, so they are solved on demand for the requested columns.
-    coef0 = cho_solve(chol, a.T @ _targets(y, grid, spec, 0))
+    coef0 = cho_solve(chol, rhs0)
 
     def coef_for(order, cols):
         if order == 0:
             return coef0 if cols is None else coef0[:, cols]
-        rhs = a.T @ _targets(y, grid if cols is None else grid[cols], spec, order)
+        rhs = _kernel_sums(spec, grid if cols is None else grid[cols], y, a, order).T
         return cho_solve(chol, rhs)
 
     def predict_grid(xq, order, cols=None):
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        aq = np.column_stack([np.ones(xq.shape[0]), xq])
-        return aq @ coef_for(order, cols)
+        return _design(np.atleast_2d(np.asarray(xq, dtype=float))) @ coef_for(order, cols)
 
-    return predict_grid
+    def grid_sum(xq, w, order):
+        return (w @ _design(xq)) @ coef_for(order, None)
+
+    return predict_grid, grid_sum
 
 
 def _fit_knn_outcome(subset, grid, spec, hyper):
@@ -301,7 +333,14 @@ def _fit_knn_outcome(subset, grid, spec, hyper):
         cols_grid = grid if cols is None else grid[cols]
         return index.average(_targets(y, cols_grid, spec, order), xq)
 
-    return predict_grid
+    def grid_sum(xq, w, order):
+        # Each query row spreads w / k over its neighbors; the sum then reads
+        # every training target once instead of k times per query row.
+        nb = index.neighbors(xq)
+        u = np.bincount(nb.ravel(), weights=np.repeat(w / index.k, index.k), minlength=y.size)
+        return _kernel_sums(spec, grid, y, u, order)
+
+    return predict_grid, grid_sum
 
 
 def fit_smoothed_outcome(subset: Sample, arm, grid, spec: KernelSpec,
@@ -312,6 +351,12 @@ def fit_smoothed_outcome(subset: Sample, arm, grid, spec: KernelSpec,
     points and derivative orders share one design factorization (ridge) or
     one neighbor structure (KNN); the targets differ, the design does not.
     """
+    return _fit_outcome(subset, arm, grid, spec, learner, hyper)
+
+
+def _fit_outcome(subset, arm, grid, spec, learner="ridge", hyper=None, stats=None):
+    """:func:`fit_smoothed_outcome`, where a ridge fit may take its
+    statistics (see :func:`_ridge_stats`) summed from parts of ``subset``."""
     hyper = dict(hyper or {})
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
@@ -321,9 +366,9 @@ def fit_smoothed_outcome(subset: Sample, arm, grid, spec: KernelSpec,
     if not np.all(subset.d == arm):
         raise ValueError(f"subset must contain only arm-{arm} observations")
     if learner == "ridge":
-        predict_grid = _fit_ridge_outcome(subset, grid, spec, hyper)
+        predict_grid, grid_sum = _fit_ridge_outcome(subset, grid, spec, hyper, stats)
     elif learner == "knn":
-        predict_grid = _fit_knn_outcome(subset, grid, spec, hyper)
+        predict_grid, grid_sum = _fit_knn_outcome(subset, grid, spec, hyper)
     else:
         raise ValueError(f"unknown smoothed-outcome learner {learner!r}")
 
@@ -331,7 +376,7 @@ def fit_smoothed_outcome(subset: Sample, arm, grid, spec: KernelSpec,
         block = predict_grid(np.atleast_2d(np.asarray(x, dtype=float)), order, cols=[grid_index])
         return float(block[0, 0])
 
-    return SmoothedOutcomeFit(
+    return _LearnedOutcomeFit(
         grid=grid, arm=arm, spec=spec, learner_id=learner,
-        predict=predict, predict_grid=predict_grid,
+        predict=predict, predict_grid=predict_grid, grid_sum=grid_sum,
     )

@@ -107,7 +107,7 @@ def estimate_from_fits(fits, grid, spec, *, n, method, alpha, folds=None, fold_r
     (m1, v1), (m0, v0) = fits[1].components(theta[1]), fits[0].components(theta[0])
     flags = curve_shape_flags(curves[1].values) + curve_shape_flags(curves[0].values)
     diag = Diagnostics(
-        flat_curve=any("flat" in f for f in flags),
+        flat_curve=any(c.values.max() == c.values.min() for c in curves.values()),
         fold_reseeds=fold_reseeds,
         warnings=tuple(flags),
     )

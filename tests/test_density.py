@@ -1,6 +1,7 @@
 """Conditional and marginal density estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,3 +191,33 @@ def test_fused_gaussian_weights_match_coordinate_product(dim):
     factors = m.eval_kernel(m.GAUSSIAN, (xb[:, None, :] - xa[None, :, :]) / spec.h, 0)
     want = np.prod(factors, axis=-1) * spec.h ** (-dim)
     assert np.max(np.abs(fused / want - 1.0)) <= 1e-13
+
+
+def test_curve_matches_scaled_kernel_sum_bitwise():
+    """The in-place order-0 Gaussian block gives the bits of ``scaled_kernel``."""
+    s = small_sample(n=60, seed=9)
+    spec = m.KernelSpec(m.GAUSSIAN, 0.45)
+    grid = np.linspace(-3.0, 3.0, 41)
+    for arm in (0, 1):
+        fit = m.marginal_arm_fit(s, arm, spec)
+        want = m.scaled_kernel(spec, grid[:, None] - fit.y[None, :], 0) @ fit.c / fit.n
+        assert np.array_equal(fit.curve(grid), want)
+
+
+def test_curve_memory_is_bounded(lognormal_selection):
+    """One kernel chunk at a time: the curve's peak allocation stays within
+    two block budgets plus a few grid-sized arrays."""
+    from modete.density import _BLOCK_BYTES
+
+    sample, _ = m.standardize_covariates(m.generate(lognormal_selection, 12_000, seed=3))
+    spec = m.KernelSpec(m.GAUSSIAN, 0.3)
+    grid = m.default_grid(sample.y, spec.h)
+    fit = m.marginal_arm_fit(sample, 1, spec)
+    assert fit.y.size > 4_000
+    tracemalloc.start()
+    try:
+        fit.curve(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * _BLOCK_BYTES + 64 * grid.size

@@ -1,6 +1,7 @@
 """Cross-fitting, orthogonal scores, DML curves, variance, orthogonality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,20 +221,24 @@ class TestEstimateDmlMTE:
         assert np.array_equal(a.curve0.values, b.curve0.values)
 
     def test_fold_relabeling_is_invisible(self):
+        """Bit-equal under relabeling; at K = 5 each auxiliary fit sums four
+        folds' statistics, so the order of that sum is exercised too."""
         s = duplicated_arms_sample(n=45, seed=10)
         spec = m.KernelSpec(m.GAUSSIAN, 0.4)
         grid = np.linspace(0.05, 4.5, 65)
-        part = m.make_folds(s.n, 3, seed=4)
-        perm = np.array([2, 0, 1])
-        relabeled = m.FoldPartition(assignments=perm[part.assignments], K=3, seed=4)
-        bundle_a = small_bundle(s, part, spec, grid)
-        bundle_b = small_bundle(s, relabeled, spec, grid)
-        ca = m.dml_density_curve(s, part, bundle_a, spec, grid, arm=1)
-        cb = m.dml_density_curve(s, relabeled, bundle_b, spec, grid, arm=1)
-        assert np.array_equal(ca.values, cb.values)
-        va = m.dml_variance_components(s, part, bundle_a, spec, 1.0, 0.9)
-        vb = m.dml_variance_components(s, relabeled, bundle_b, spec, 1.0, 0.9)
-        assert va == vb
+        for perm in ([2, 0, 1], [3, 0, 4, 2, 1]):
+            K = len(perm)
+            part = m.make_folds(s.n, K, seed=4)
+            relabeled = m.FoldPartition(assignments=np.array(perm)[part.assignments], K=K,
+                                        seed=4)
+            bundle_a = small_bundle(s, part, spec, grid)
+            bundle_b = small_bundle(s, relabeled, spec, grid)
+            ca = m.dml_density_curve(s, part, bundle_a, spec, grid, arm=1)
+            cb = m.dml_density_curve(s, relabeled, bundle_b, spec, grid, arm=1)
+            assert np.array_equal(ca.values, cb.values)
+            va = m.dml_variance_components(s, part, bundle_a, spec, 1.0, 0.9)
+            vb = m.dml_variance_components(s, relabeled, bundle_b, spec, 1.0, 0.9)
+            assert va == vb
 
     def test_arm_swap_with_mirrored_learners(self, lognormal_selection):
         sample = m.generate(lognormal_selection, 500, seed=11)
@@ -305,6 +310,104 @@ def test_fold_nuisances_use_only_auxiliary_data(lognormal_selection):
     other = 0
     assert not np.array_equal(bundle.folds[other].g1.predict_grid(xq, 0),
                               bundle2.folds[other].g1.predict_grid(xq, 0))
+
+
+class TestFoldSumsMatchRefits:
+    """Curves and components equal an oracle that refits every fold's
+    nuisances on its own auxiliary sample and averages the orthogonal score
+    over the fold's rows, one (rows, grid) matrix per fold."""
+
+    @staticmethod
+    def oracle(sample, part, spec, grid, learner):
+        """Per fold: the arm's score terms and its outcome fit, per arm."""
+        folds = []
+        for k in range(part.K):
+            aux = sample.subset(part.complement(k))
+            idx = part.indices(k)
+            pi = m.fit_propensity(aux).predict_clipped(sample.x[idx])
+            d = sample.d[idx].astype(float)
+            terms = {1: (d, pi, d - pi), 0: (1.0 - d, 1.0 - pi, pi - d)}
+            fits = {arm: m.fit_smoothed_outcome(aux.subset(aux.arm_indices(arm)), arm, grid,
+                                                spec, learner=learner) for arm in (1, 0)}
+            folds.append((idx, terms, fits))
+        return folds
+
+    @staticmethod
+    def scores(sample, idx, terms, spec, order, y, g):
+        """(fold rows, outcome points) matrix of one arm's scores at ``y``."""
+        d_a, p_a, r_a = (t[:, None] for t in terms)
+        kv = m.scaled_kernel(spec, y[None, :] - sample.y[idx, None], order)
+        return d_a * kv / p_a - r_a / p_a * g
+
+    def mean_score(self, sample, folds, spec, arm, order, y, g_of):
+        """Fold-averaged mean score at outcome points ``y``."""
+        return sum(self.scores(sample, idx, terms[arm], spec, order, y,
+                               g_of(fits[arm], sample.x[idx], order)).mean(axis=0)
+                   for idx, terms, fits in folds) / len(folds)
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    @pytest.mark.parametrize("family", [m.GAUSSIAN, m.EPANECHNIKOV])
+    @pytest.mark.parametrize("learner", ["ridge", "knn"])
+    def test_curves_and_components(self, learner, family, K, lognormal_selection):
+        sample, _ = m.standardize_covariates(m.generate(lognormal_selection, 300, seed=K))
+        spec = m.KernelSpec(family, 0.5)
+        grid = m.default_grid(sample.y, spec.h, 48)
+        part = m.make_folds(sample.n, K, seed=1)
+        bundle = m.fit_nuisances(sample, part, spec, grid, g_learner=learner)
+        folds = self.oracle(sample, part, spec, grid, learner)
+        for arm in (1, 0):
+            for order in (0, 1, 2):
+                got = m.dml_density_curve(sample, part, bundle, spec, grid, arm, order).values
+                want = self.mean_score(sample, folds, spec, arm, order, grid,
+                                       lambda fit, x, s: fit.predict_grid(x, s))
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # The oracle's score is the public scalar one.
+        idx, terms, fits = folds[0]
+        x = sample.x[idx]
+        for arm, i, j in ((1, 0, 20), (0, 1, 25)):
+            table = self.scores(sample, idx, terms[arm], spec, 0, grid, fits[arm].predict_grid(x, 0))
+            z = (sample.y[idx[i]], sample.d[idx[i]], x[i])
+            eta = (terms[1][1][i], fits[arm].predict(x[i], j))
+            assert table[i, j] == pytest.approx(m.orthogonal_score(z, grid[j], eta, arm, spec),
+                                                rel=1e-14)
+
+        theta = {1: 1.013, 0: 0.687}  # off the grid: fits interpolate between columns
+        want = {}
+        for arm, th in theta.items():
+            jj = int(np.searchsorted(grid, th)) - 1
+            t = (th - grid[jj]) / (grid[jj + 1] - grid[jj])
+
+            def g_at(fit, x, s):
+                cols = fit.predict_grid(x, s, cols=[jj, jj + 1])
+                return ((1.0 - t) * cols[:, 0] + t * cols[:, 1])[:, None]
+
+            m_hat = self.mean_score(sample, folds, spec, arm, 2, np.array([th]), g_at)[0]
+            v_sum = 0.0
+            for idx, terms, fits in folds:
+                d_a, p_a, r_a = terms[arm]
+                kv = m.scaled_kernel(spec, th - sample.y[idx], 0)
+                g = g_at(fits[arm], sample.x[idx], 0)[:, 0]
+                v_sum += np.mean(d_a * kv / p_a ** 2 - 2.0 * r_a / p_a ** 2 * g)
+            want[arm] = (m_hat, m.kernel_constants(family).kappa0_1 * v_sum / K)
+        got = m.dml_variance_components(sample, part, bundle, spec, theta[1], theta[0])
+        for g, w in zip(got, (want[1][0], want[0][0], want[1][1], want[0][1])):
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+
+def test_estimate_memory_is_bounded(lognormal_selection):
+    """No (rows, grid) matrix: the peak allocation of a whole estimate stays
+    under six block budgets plus 512 bytes per observation."""
+    from modete.density import _BLOCK_BYTES
+
+    n = 12_000
+    sample = m.generate(lognormal_selection, n, seed=2)
+    tracemalloc.start()
+    try:
+        m.estimate_dml_mte(sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * _BLOCK_BYTES + 512 * n
 
 
 class TestVarianceCrossAgreement:

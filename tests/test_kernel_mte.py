@@ -238,6 +238,25 @@ def test_nonnegative_curvature_sets_diagnostics_flag():
     assert any("curvature" in w for w in res.diagnostics.warnings)
 
 
+@pytest.mark.parametrize("route", ["kernel", "dml"])
+def test_grid_without_kernel_mass_sets_flat_curve(route, lognormal_plain):
+    """A user grid far from every outcome gives all-zero curves, which the
+    diagnostics flag as flat; the default grid does not."""
+    sample = m.generate(lognormal_plain, 300, seed=5)
+    far = np.linspace(200.0, 201.0, 16)
+
+    def estimate(grid):
+        if route == "kernel":
+            return m.estimate_kernel_mte(sample, grid=grid)
+        return m.estimate_dml_mte(sample, m.DMLConfig(grid=grid))
+
+    with pytest.warns(m.CurveShapeWarning):
+        res = estimate(far)
+    assert not res.curve1.values.any() and not res.curve0.values.any()
+    assert res.diagnostics.flat_curve
+    assert not estimate(None).diagnostics.flat_curve
+
+
 def test_robust_scale_uses_min_of_sd_and_iqr():
     rng = np.random.default_rng(0)
     y = rng.normal(size=4000)

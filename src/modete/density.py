@@ -12,6 +12,9 @@ its curvature on a common footing.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +29,24 @@ _DEN_FLOOR = 1e-300
 
 # Bytes of one block matrix: a row block's covariate weights (both arms), or a
 # grid chunk of curve kernels.  2 MiB keeps a block in a core's L2 cache, which
-# made the weight pass about twice as fast as 64 MiB blocks at n = 8000.
+# made the weight pass about twice as fast as 64 MiB blocks at n = 8000.  The
+# weight pass has up to two row blocks in flight (see :func:`_in_order`), so
+# their weights take two budgets; smaller blocks would change the bits of its
+# sums.
 _BLOCK_BYTES = 2 * 2**20
+
+
+def _reset_lane():
+    """Make the second lane of :func:`_in_order`: an executor of one worker
+    thread, which it starts on the first submit.  A forked child makes its
+    own, because its copy of the parent's worker thread does not run."""
+    global _lane
+    _lane = ThreadPoolExecutor(1, thread_name_prefix="modete-lane")
+
+
+_reset_lane()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_lane)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,18 +154,106 @@ def _block_rows(n):
     return max(1, _BLOCK_BYTES // (8 * n))
 
 
-def _product_weights_block(x_block, x_all, spec):
+# Blocks that a lane may run beyond the next one to be yielded.  Their results
+# wait until then, so this bounds the memory they hold; it also lets either
+# lane carry on through a stall of the other of up to this many blocks.
+_AHEAD = 8
+
+
+def _in_order(fn, starts):
+    """Yield ``fn(start, lane)`` for each block start, in block order.
+
+    ``lane`` is 0 on the calling thread and 1 on the worker thread; a lane
+    runs one block at a time, so ``fn`` may keep scratch per lane, but must
+    write nothing that another block owns.  With two or more usable cores
+    and two or more blocks, both lanes take the lowest block not yet taken,
+    up to ``_AHEAD`` blocks past the next one to be yielded: at most two
+    blocks are in flight, and neither lane waits for the other while it has
+    blocks to run.  Otherwise, or while the worker is busy elsewhere, the
+    calling thread runs the blocks.  An error surfaces in block order, after
+    every earlier block's result; blocks still running when the generator
+    stops are waited for.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    if len(starts) < 2 or cores < 2:
+        for start in starts:
+            yield fn(start, 0)
+        return
+    cond = threading.Condition()
+    done = {}  # finished blocks, until yielded: (result, error)
+    taken = out = 0  # blocks taken; the next block to yield
+    stop = False
+
+    def claim():
+        # The next block to take, or None; called with ``cond`` held.
+        nonlocal taken
+        if stop or taken >= len(starts) or taken >= out + _AHEAD:
+            return None
+        taken += 1
+        return taken - 1
+
+    def run(k, lane):
+        try:
+            result = fn(starts[k], lane), None
+        except Exception as exc:  # raised in block order by the caller
+            result = None, exc
+        with cond:
+            done[k] = result
+            cond.notify_all()
+
+    def work():
+        while True:
+            with cond:
+                cond.wait_for(lambda: stop or taken >= len(starts) or taken < out + _AHEAD)
+                k = claim()
+            if k is None:
+                return
+            run(k, 1)
+
+    worker = _lane.submit(work)
+    try:
+        for k in range(len(starts)):
+            while True:
+                with cond:
+                    if k in done:
+                        break
+                    j = claim()
+                    if j is None:  # the worker is running block k
+                        cond.wait_for(lambda: k in done)
+                        break
+                run(j, 0)
+            with cond:
+                result, error = done.pop(k)
+                out = k + 1
+                cond.notify_all()
+            if error is not None:
+                raise error
+            yield result
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        if not worker.cancel():
+            worker.result()
+
+
+def _product_weights_block(x_block, x_all, spec, out=None, tmp=None):
     """Covariate product-kernel weights between a row block and all points.
 
-    The Gaussian product is one ``exp`` of the summed squared coordinates;
-    other families multiply one kernel factor per coordinate.
+    The Gaussian product is one ``exp`` of the summed squared coordinates,
+    computed in ``out`` (with ``tmp`` as scratch when d > 1) if they are
+    given; other families multiply one kernel factor per coordinate, in
+    fresh arrays.
     """
     dim = x_all.shape[1]
     if spec.family == GAUSSIAN:
-        w = np.subtract.outer(x_block[:, 0], x_all[:, 0])
+        w = np.subtract.outer(x_block[:, 0], x_all[:, 0], out=out)
         w /= spec.h
         w *= w
-        u = np.empty_like(w) if dim > 1 else None
+        u = (np.empty_like(w) if tmp is None else tmp) if dim > 1 else None
         for c in range(1, dim):
             np.subtract.outer(x_block[:, c], x_all[:, c], out=u)
             u /= spec.h
@@ -243,6 +350,13 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
     against: no block is copied by fancy indexing, and reductions see only
     the arm's own columns, so samples related by an arm swap (or arm
     duplication) give bit-identical results for the corresponding arm.
+
+    Each row block writes its own rows of ``den`` and returns its
+    contributions to ``c`` and ``c_var``; the blocks run on up to two threads
+    (:func:`_in_order`), and the contributions are added strictly in block
+    order, so the result is bit-identical on one core or two.  A point with
+    no kernel mass raises :class:`DegenerateLocalityError` for the first such
+    block, as a one-thread pass would.
     """
     n = sample.n
     idx = {arm: sample.arm_indices(arm) for arm in arms}
@@ -251,21 +365,45 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
     acc = {arm: np.zeros(i.size) for arm, i in idx.items()}
     acc_var = {arm: np.zeros(i.size) for arm, i in idx.items()} if share is not None else {}
     step = _block_rows(n)
-    for start in range(0, n, step):
+    # Each lane reuses one scratch array, holding every arm's weights and, for
+    # d > 1, one arm's worth of scratch.  Block-sized arrays made afresh on
+    # the worker thread come from its own malloc arena, which can hand their
+    # pages back after each block and fault them in again: at n = 8000 that
+    # cost most of the second lane's gain.
+    scratch = [None, None]
+    width = max(i.size for i in idx.values()) if sample.dim > 1 else 0
+
+    def block(start, lane):
         rows = slice(start, min(start + step, n))
-        w = {}
+        m = rows.stop - start
+        if scratch[lane] is None:
+            scratch[lane] = np.empty(step * (n + width))
+        buf, used = scratch[lane], 0
+        w, c, c_var = {}, {}, {}
         for arm in idx:
-            w[arm] = _product_weights_block(sample.x[rows], x_arm[arm], spec)
+            size = m * idx[arm].size
+            w[arm] = _product_weights_block(
+                sample.x[rows], x_arm[arm], spec, out=buf[used:used + size].reshape(m, -1),
+                tmp=buf[step * n:step * n + size].reshape(m, -1) if width else None)
+            used += size
             d_blk = w[arm].sum(axis=1)
             bad = np.flatnonzero(d_blk <= _DEN_FLOOR)
             if bad.size:
                 i = start + int(bad[0])
                 raise DegenerateLocalityError(arm, sample.x[i], index=i)
             den[arm][rows] = d_blk
-            acc[arm] += w[arm].T @ (1.0 / d_blk)
+            c[arm] = w[arm].T @ (1.0 / d_blk)
+        if share is not None:
+            for arm in idx:
+                p = share(arm, {a: den[a][rows] for a in idx}, rows)
+                c_var[arm] = w[arm].T @ (1.0 / (den[arm][rows] * p))
+        return c, c_var
+
+    for c, c_var in _in_order(block, range(0, n, step)):
+        for arm in acc:
+            acc[arm] += c[arm]
         for arm in acc_var:
-            p = share(arm, {a: den[a][rows] for a in idx}, rows)
-            acc_var[arm] += w[arm].T @ (1.0 / (den[arm][rows] * p))
+            acc_var[arm] += c_var[arm]
     return {arm: KernelArmFit(sample.y[idx[arm]], acc[arm], acc_var.get(arm), spec, n)
             for arm in idx}
 

@@ -151,7 +151,14 @@ def _nearest(train, query, k):
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
     keep = d2 < kth
     ties = d2 == kth
-    ties &= np.cumsum(ties, axis=1) <= k - keep.sum(axis=1, keepdims=True)
+    room = k - keep.sum(axis=1)
+    # Only rows with more ties at the k-th distance than places left need the
+    # lowest-index ties picked out; elsewhere every tie is kept.
+    over = np.flatnonzero(ties.sum(axis=1) > room)
+    if over.size:
+        t = ties[over]
+        t &= np.cumsum(t, axis=1) <= room[over, None]
+        ties[over] = t
     keep |= ties
     return np.nonzero(keep)[1].reshape(-1, k)
 
@@ -214,15 +221,20 @@ def _fit_kernel_propensity(x, d, hyper):
     train = (x - mu) / sd
     labels = d.astype(float)
     fallback = float(labels.mean())
+    step = _block_rows(n)
 
     def predict(xq):
+        # Query rows are weighted in blocks within the shared budget; a
+        # block's matrix-vector product may round differently from one over
+        # all rows, by a few ulps.
         xq = (np.atleast_2d(np.asarray(xq, dtype=float)) - mu) / sd
-        w = _product_weights_block(xq, train, spec)
-        den = w.sum(axis=1)
-        num = w @ labels
         out = np.full(xq.shape[0], fallback)
-        ok = den > _DEN_FLOOR
-        out[ok] = num[ok] / den[ok]
+        for s in range(0, xq.shape[0], step):
+            w = _product_weights_block(xq[s:s + step], train, spec)
+            den = w.sum(axis=1)
+            num = w @ labels
+            ok = den > _DEN_FLOOR
+            out[s:s + step][ok] = num[ok] / den[ok]
         return out
 
     return predict

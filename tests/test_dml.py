@@ -410,6 +410,22 @@ def test_estimate_memory_is_bounded(lognormal_selection):
     assert peak <= 6 * _BLOCK_BYTES + 512 * n
 
 
+def test_kernel_propensity_memory_is_bounded(lognormal_selection):
+    """The kernel propensity learner weights its queries in blocks: no
+    (queries, training rows) matrix, which would need about 180 MB here."""
+    from modete.density import _BLOCK_BYTES
+
+    n = 12_000
+    sample = m.generate(lognormal_selection, n, seed=2)
+    tracemalloc.start()
+    try:
+        m.estimate_dml_mte(sample, m.DMLConfig(pi_learner="kernel"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * _BLOCK_BYTES + 512 * n
+
+
 class TestVarianceCrossAgreement:
     def test_dml_components_track_kernel_plugin(self, lognormal_plain):
         """Same data, same bandwidth, locally weighted nuisances on both

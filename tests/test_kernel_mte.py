@@ -1,7 +1,15 @@
 """The kernel-route estimator: standardization, estimates, variance, CIs."""
 
+import csv
+import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +234,114 @@ class TestOnePassVariance:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * _BLOCK_BYTES + 256 * n
+
+
+def _affinity():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+
+
+def _cli_kernel_estimate(csv_path, curves_path, cpu=None):
+    """``modete estimate --method kernel`` in a fresh interpreter, optionally
+    confined to one ``cpu``; returns the JSON record without its timing, and
+    the curves file."""
+    src = str(Path(m.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # The interpreter pins itself: a preexec_fn is unsafe in a process with threads.
+    run = ["-m", "modete.cli"] if cpu is None else [
+        "-c", f"import os, runpy; os.sched_setaffinity(0, {{{cpu}}}); "
+              "runpy.run_module('modete.cli', run_name='__main__')"]
+    proc = subprocess.run(
+        [sys.executable, *run, "estimate", "--input", str(csv_path),
+         "--y", "y", "--d", "d", "--x", "x0,x1", "--method", "kernel",
+         "--emit-curves", str(curves_path)],
+        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
+        check=True)
+    doc = json.loads(proc.stdout)
+    del doc["timing_ms"]
+    return json.dumps(doc), Path(curves_path).read_bytes()
+
+
+def _kernel_estimate_in_child(sample):
+    """The estimate, and how many of the package's worker threads are alive."""
+    res = m.estimate_kernel_mte(sample)
+    workers = sum(t.name.startswith("modete-lane") for t in threading.enumerate())
+    return (res.theta1, res.theta0, res.se_delta), workers
+
+
+class TestTwoLanePass:
+    """The weight pass runs its row blocks on the calling thread and one
+    worker when two cores are usable; the result must not depend on it."""
+
+    @pytest.mark.skipif(len(_affinity()) < 2, reason="needs at least two usable CPUs")
+    def test_cli_output_identical_on_one_core(self, tmp_path, dgps):
+        sample = m.generate(dgps["skew-mixture"], 3000, seed=3)
+        assert sample.dim == 2
+        path = tmp_path / "data.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["y", "d", "x0", "x1"])
+            for yi, di, xi in zip(sample.y, sample.d, sample.x):
+                w.writerow([repr(float(yi)), int(di), *[repr(float(v)) for v in xi]])
+        one = _cli_kernel_estimate(path, tmp_path / "one.csv", min(_affinity()))
+        two = _cli_kernel_estimate(path, tmp_path / "two.csv")
+        assert one == two
+
+    @pytest.mark.parametrize("blocks", [(0, 1), (1, 2), (1, 3), (2, 9)],
+                             ids=lambda b: f"blocks-{b[0]}-{b[1]}")
+    def test_first_point_without_mass_is_reported(self, blocks):
+        """Two isolated points in different row blocks, which either thread
+        may run and finish in either order: the error names the earlier one."""
+        from modete.density import _block_rows
+
+        n = 3000
+        rng = np.random.default_rng(9)
+        x = rng.random((n, 2))
+        d = (rng.random(n) < 0.5).astype(int)
+        step = _block_rows(n)
+        first, later = (b * step + 5 for b in blocks)
+        x[first], x[later] = (40.0, 0.0), (-40.0, 0.0)
+        d[first] = d[later] = 1
+        sample = m.Sample(rng.normal(size=n), d, x)
+        with pytest.raises(m.DegenerateLocalityError) as exc:
+            m.estimate_kernel_mte(sample, m.KernelSpec(m.EPANECHNIKOV, 0.5))
+        assert (exc.value.index, exc.value.arm) == (first, 0)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_forked_child_estimates_after_parent(self, lognormal_selection):
+        """A child forked after the parent's worker thread has run starts a
+        worker of its own: its estimate finishes, on as many threads as the
+        parent's, and equals the parent's."""
+        sample = m.generate(lognormal_selection, 3000, seed=4)
+        want = _kernel_estimate_in_child(sample)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply_async(_kernel_estimate_in_child, (sample,)).get(timeout=120)
+        assert got == want
+
+    def test_concurrent_callers_share_the_worker(self, dgps):
+        """Four threads estimating at once, with rapid thread switching, all
+        get the estimates a lone call gives (they share one worker thread; a
+        call runs its blocks itself while the worker serves another)."""
+        samples = [m.generate(dgps["lognormal-selection"], 1500, seed=s) for s in range(4)]
+        want = [m.estimate_kernel_mte(s) for s in samples]
+        got = [None] * len(samples)
+
+        def run(i):
+            got[i] = m.estimate_kernel_mte(samples[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(samples))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for g, w in zip(got, want):
+            assert (g.theta1, g.theta0, g.se1, g.se0) == (w.theta1, w.theta0, w.se1, w.se0)
 
 
 def test_nonnegative_curvature_sets_diagnostics_flag():

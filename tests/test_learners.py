@@ -91,6 +91,25 @@ class TestFitPropensity:
         hi = fit.predict(np.array([[0.8]]))[0]
         assert lo < 0.4 < 0.6 < hi
 
+    def test_kernel_nw_blocked_matches_unblocked_formula(self):
+        """Query rows are weighted in blocks; over several blocks the
+        predictions stay within 1e-13 relative of the Nadaraya-Watson ratio
+        computed over all rows at once."""
+        from modete.density import _block_rows
+
+        rng = np.random.default_rng(21)
+        n = 3000
+        x, xq = rng.normal(size=(n, 2)), rng.normal(size=(400, 2))
+        d = (rng.random(n) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(int)
+        assert xq.shape[0] >= 2 * _block_rows(n)
+        fit = m.fit_propensity(m.Sample(rng.normal(size=n), d, x), learner="kernel")
+        mu, sd = x.mean(axis=0), x.std(axis=0, ddof=1)
+        h = n ** (-1.0 / 6.0)
+        u = ((xq - mu) / sd)[:, None, :] - ((x - mu) / sd)[None, :, :]
+        w = np.exp(-0.5 * np.sum((u / h) ** 2, axis=-1))
+        want = (w @ d) / w.sum(axis=1)
+        np.testing.assert_allclose(fit.predict(xq), want, rtol=1e-13, atol=0.0)
+
     def test_knn_predictions_in_unit_interval(self):
         s = coin_sample(300, 3)
         fit = m.fit_propensity(s, learner="knn")

@@ -19,12 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import Sample
-from .dml import DMLConfig, estimate_dml_mte
 from .errors import EstimationError
-from .kernels import DML_METHOD, EPANECHNIKOV, GAUSSIAN, KERNEL_METHOD, KernelSpec
-from .kernel_mte import estimate_kernel_mte
+from .kernels import DML_METHOD, EPANECHNIKOV, GAUSSIAN, KERNEL_METHOD
 from .results import MTEResult
-from .simulation import builtin_dgps, run_monte_carlo
+from .simulation import _estimate, builtin_dgps, run_monte_carlo
 
 EXIT_OK = 0
 EXIT_ESTIMATION = 2
@@ -290,20 +288,13 @@ def _validate_common(args):
         raise _UsageError(f"--grid-points must be at least 3, got {args.grid_points}")
 
 
-def _run_estimator(args, sample):
-    if args.method == KERNEL_METHOD:
-        spec = KernelSpec(args.kernel, args.bandwidth) if args.bandwidth else None
-        return estimate_kernel_mte(
-            sample, spec, family=args.kernel, grid_points=args.grid_points,
-            alpha=args.alpha, kappa=args.kappa,
-        )
-    config = DMLConfig(
-        folds=args.folds, seed=args.seed,
-        pi_learner=args.learner_pi, g_learner=args.learner_g,
-        family=args.kernel, bandwidth=args.bandwidth,
-        grid_points=args.grid_points, alpha=args.alpha, kappa=args.kappa,
-    )
-    return estimate_dml_mte(sample, config)
+def _estimator_config(args):
+    """The estimator settings among ``args``, as :func:`simulation._estimate` takes them."""
+    config = {"family": args.kernel, "bandwidth": args.bandwidth,
+              "grid_points": args.grid_points, "alpha": args.alpha, "kappa": args.kappa}
+    if args.method == DML_METHOD:
+        config.update(folds=args.folds, pi_learner=args.learner_pi, g_learner=args.learner_g)
+    return config
 
 
 def _write_curves(path, result: MTEResult):
@@ -330,7 +321,7 @@ def cmd_estimate(args):
         return EXIT_IO
     start = time.perf_counter()
     try:
-        result = _run_estimator(args, sample)
+        result = _estimate(args.method, sample, _estimator_config(args), args.seed)
     except (EstimationError, ValueError) as exc:
         _emit_error(exc)
         return EXIT_ESTIMATION
@@ -355,20 +346,9 @@ def cmd_simulate(args):
         raise _UsageError(
             f"unknown dgp {args.dgp!r}; available: {', '.join(sorted(dgps))}"
         )
-    if args.method == KERNEL_METHOD:
-        config = {
-            "family": args.kernel, "bandwidth": args.bandwidth,
-            "grid_points": args.grid_points, "alpha": args.alpha, "kappa": args.kappa,
-        }
-    else:
-        config = {
-            "folds": args.folds, "pi_learner": args.learner_pi, "g_learner": args.learner_g,
-            "family": args.kernel, "bandwidth": args.bandwidth,
-            "grid_points": args.grid_points, "alpha": args.alpha, "kappa": args.kappa,
-        }
     try:
         report = run_monte_carlo(dgps[args.dgp], args.n, args.reps, args.method,
-                                 config=config, seed=args.seed)
+                                 config=_estimator_config(args), seed=args.seed)
     except (EstimationError, ValueError) as exc:
         _emit_error(exc)
         return EXIT_ESTIMATION

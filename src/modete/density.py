@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,23 +31,23 @@ _DEN_FLOOR = 1e-300
 # Bytes of one block matrix: a row block's covariate weights (both arms), or a
 # grid chunk of curve kernels.  2 MiB keeps a block in a core's L2 cache, which
 # made the weight pass about twice as fast as 64 MiB blocks at n = 8000.  The
-# weight pass has up to two row blocks in flight (see :func:`_in_order`), so
-# their weights take two budgets; smaller blocks would change the bits of its
-# sums.
+# weight pass runs up to two row blocks at once, one on each worker of its
+# pool (see :func:`_in_order`), so their weights take two budgets; smaller
+# blocks would change the bits of its sums.
 _BLOCK_BYTES = 2 * 2**20
 
 
-def _reset_lane():
-    """Make the second lane of :func:`_in_order`: an executor of one worker
-    thread, which it starts on the first submit.  A forked child makes its
-    own, because its copy of the parent's worker thread does not run."""
-    global _lane
-    _lane = ThreadPoolExecutor(1, thread_name_prefix="modete-lane")
+def _reset_pool():
+    """Make the pool of :func:`_in_order`: two worker threads, which it
+    starts on the first submits.  A forked child makes its own, because its
+    copies of the parent's worker threads do not run."""
+    global _pool
+    _pool = ThreadPoolExecutor(2, thread_name_prefix="modete-lane")
 
 
-_reset_lane()
+_reset_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_lane)
+    os.register_at_fork(after_in_child=_reset_pool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,90 +155,36 @@ def _block_rows(n):
     return max(1, _BLOCK_BYTES // (8 * n))
 
 
-# Blocks that a lane may run beyond the next one to be yielded.  Their results
+# Blocks that may be queued beyond the next one to be yielded.  Their results
 # wait until then, so this bounds the memory they hold; it also lets either
-# lane carry on through a stall of the other of up to this many blocks.
+# worker carry on through a stall of the other of up to this many blocks.
 _AHEAD = 8
 
 
-def _in_order(fn, starts):
-    """Yield ``fn(start, lane)`` for each block start, in block order.
+def _in_order(fn, starts, threads):
+    """Yield ``fn(start)`` for each block start, in block order.
 
-    ``lane`` is 0 on the calling thread and 1 on the worker thread; a lane
-    runs one block at a time, so ``fn`` may keep scratch per lane, but must
-    write nothing that another block owns.  With two or more usable cores
-    and two or more blocks, both lanes take the lowest block not yet taken,
-    up to ``_AHEAD`` blocks past the next one to be yielded: at most two
-    blocks are in flight, and neither lane waits for the other while it has
-    blocks to run.  Otherwise, or while the worker is busy elsewhere, the
-    calling thread runs the blocks.  An error surfaces in block order, after
-    every earlier block's result; blocks still running when the generator
-    stops are waited for.
+    On one thread, the calling thread runs the blocks.  On two, they are
+    queued on the pool, whose workers each take the next one as they come
+    free, with at most ``_AHEAD`` queued past the next one to be yielded;
+    ``fn`` must write nothing that another block owns.  An error surfaces in
+    block order, after every earlier block's result; when the generator
+    stops, unstarted blocks are cancelled and running ones waited for, so a
+    failed pass leaves the pool idle.
     """
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    if len(starts) < 2 or cores < 2:
-        for start in starts:
-            yield fn(start, 0)
+    if threads < 2:
+        yield from map(fn, starts)
         return
-    cond = threading.Condition()
-    done = {}  # finished blocks, until yielded: (result, error)
-    taken = out = 0  # blocks taken; the next block to yield
-    stop = False
-
-    def claim():
-        # The next block to take, or None; called with ``cond`` held.
-        nonlocal taken
-        if stop or taken >= len(starts) or taken >= out + _AHEAD:
-            return None
-        taken += 1
-        return taken - 1
-
-    def run(k, lane):
-        try:
-            result = fn(starts[k], lane), None
-        except Exception as exc:  # raised in block order by the caller
-            result = None, exc
-        with cond:
-            done[k] = result
-            cond.notify_all()
-
-    def work():
-        while True:
-            with cond:
-                cond.wait_for(lambda: stop or taken >= len(starts) or taken < out + _AHEAD)
-                k = claim()
-            if k is None:
-                return
-            run(k, 1)
-
-    worker = _lane.submit(work)
+    pending = deque()
     try:
-        for k in range(len(starts)):
-            while True:
-                with cond:
-                    if k in done:
-                        break
-                    j = claim()
-                    if j is None:  # the worker is running block k
-                        cond.wait_for(lambda: k in done)
-                        break
-                run(j, 0)
-            with cond:
-                result, error = done.pop(k)
-                out = k + 1
-                cond.notify_all()
-            if error is not None:
-                raise error
-            yield result
+        for start in starts:
+            pending.append(_pool.submit(fn, start))
+            if len(pending) > _AHEAD:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
     finally:
-        with cond:
-            stop = True
-            cond.notify_all()
-        if not worker.cancel():
-            worker.result()
+        wait([future for future in pending if not future.cancel()])
 
 
 def _product_weights_block(x_block, x_all, spec, out=None, tmp=None):
@@ -352,7 +299,8 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
     duplication) give bit-identical results for the corresponding arm.
 
     Each row block writes its own rows of ``den`` and returns its
-    contributions to ``c`` and ``c_var``; the blocks run on up to two threads
+    contributions to ``c`` and ``c_var``; the blocks run on the calling
+    thread, or on two pool workers when two cores are usable
     (:func:`_in_order`), and the contributions are added strictly in block
     order, so the result is bit-identical on one core or two.  A point with
     no kernel mass raises :class:`DegenerateLocalityError` for the first such
@@ -365,20 +313,29 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
     acc = {arm: np.zeros(i.size) for arm, i in idx.items()}
     acc_var = {arm: np.zeros(i.size) for arm, i in idx.items()} if share is not None else {}
     step = _block_rows(n)
-    # Each lane reuses one scratch array, holding every arm's weights and, for
-    # d > 1, one arm's worth of scratch.  Block-sized arrays made afresh on
-    # the worker thread come from its own malloc arena, which can hand their
-    # pages back after each block and fault them in again: at n = 8000 that
-    # cost most of the second lane's gain.
-    scratch = [None, None]
+    starts = range(0, n, step)
+    # The pool's two workers, or the calling thread alone when fewer than two
+    # cores are usable or there is one block.
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = 2 if len(starts) > 1 and (cores or 1) > 1 else 1
+    # Each thread of the pass reuses one scratch array, holding every arm's
+    # weights and, for d > 1, one arm's worth of scratch.  The calling thread
+    # makes them all: block-sized arrays made on a worker thread come from its
+    # own malloc arena, which can hand their pages back after each block and
+    # fault them in again (at n = 8000 that cost most of the second thread's
+    # gain).  A thread takes its array on its first block; only that thread
+    # reads or writes its key.
     width = max(i.size for i in idx.values()) if sample.dim > 1 else 0
+    spare = [np.empty(step * (n + width)) for _ in range(threads)]
+    scratch = {}
 
-    def block(start, lane):
+    def block(start):
         rows = slice(start, min(start + step, n))
         m = rows.stop - start
-        if scratch[lane] is None:
-            scratch[lane] = np.empty(step * (n + width))
-        buf, used = scratch[lane], 0
+        me = threading.get_ident()
+        if me not in scratch:
+            scratch[me] = spare.pop()
+        buf, used = scratch[me], 0
         w, c, c_var = {}, {}, {}
         for arm in idx:
             size = m * idx[arm].size
@@ -399,7 +356,7 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
                 c_var[arm] = w[arm].T @ (1.0 / (den[arm][rows] * p))
         return c, c_var
 
-    for c, c_var in _in_order(block, range(0, n, step)):
+    for c, c_var in _in_order(block, starts, threads):
         for arm in acc:
             acc[arm] += c[arm]
         for arm in acc_var:

@@ -80,19 +80,36 @@ class TestCmdEstimate:
         assert "folds" not in doc
 
     def test_estimates_match_library_bitwise(self, sample_csv, capsys):
+        """The CLI's record, minus its timing, is the library's with the same
+        settings, for the default flags and for a non-default set per method."""
         path, sample = sample_csv
-        for method in ("kernel", "dml"):
-            code = main(["estimate", "--input", path, "--y", "y", "--d", "d", "--x", "x0",
-                         "--method", method, "--seed", "11"])
+        flags = ["--kernel", "epanechnikov", "--bandwidth", "0.5", "--grid-points", "101",
+                 "--alpha", "0.1", "--kappa", "0.45"]
+        settings = {"grid_points": 101, "alpha": 0.1, "kappa": 0.45}
+        dml_flags = ["--folds", "3", "--learner-pi", "knn", "--learner-g", "knn", "--seed", "5"]
+        dml_config = m.DMLConfig(folds=3, pi_learner="knn", g_learner="knn", seed=5,
+                                 family=m.EPANECHNIKOV, bandwidth=0.5, **settings)
+        cases = [
+            (["--method", "kernel", "--seed", "11"], lambda: m.estimate_kernel_mte(sample)),
+            (["--method", "dml", "--seed", "11"],
+             lambda: m.estimate_dml_mte(sample, m.DMLConfig(seed=11))),
+            (["--method", "kernel", *flags],
+             lambda: m.estimate_kernel_mte(sample, m.KernelSpec(m.EPANECHNIKOV, 0.5),
+                                           family=m.EPANECHNIKOV, **settings)),
+            (["--method", "dml", *flags, *dml_flags],
+             lambda: m.estimate_dml_mte(sample, dml_config)),
+        ]
+        for args, library in cases:
+            code = main(["estimate", "--input", path, "--y", "y", "--d", "d", "--x", "x0", *args])
             assert code == 0
             doc = json.loads(capsys.readouterr().out)
-            if method == "kernel":
-                ref = m.estimate_kernel_mte(sample)
-            else:
-                ref = m.estimate_dml_mte(sample, m.DMLConfig(seed=11))
+            ref = library()
             assert doc["estimates"]["theta1"] == ref.theta1
             assert doc["estimates"]["theta0"] == ref.theta0
             assert doc["estimates"]["delta"] == ref.delta
+            want = ResultRecord.from_result(ref, 0.0).to_dict()
+            del doc["timing_ms"], want["timing_ms"]
+            assert json.dumps(doc) == json.dumps(want)
 
     def test_two_covariates(self, tmp_path, capsys, lognormal_selection):
         sample = m.generate(lognormal_selection, 150, seed=3)

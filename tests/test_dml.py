@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import modete as m
-from modete.density import _product_weights_block
 from modete.dml import FoldNuisance, NuisanceBundle
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -25,7 +24,7 @@ def nw_outcome_fit(aux, arm, grid, spec):
     def predict_grid(xq, order, cols=None):
         xq = np.atleast_2d(np.asarray(xq, float))
         cols_grid = grid if cols is None else grid[cols]
-        w = _product_weights_block(xq, sub.x, spec)
+        w = m.product_kernel(spec, xq[:, None, :] - sub.x[None, :, :])
         t = m.scaled_kernel(spec, cols_grid[None, :] - sub.y[:, None], order)
         return (w @ t) / w.sum(axis=1, keepdims=True)
 

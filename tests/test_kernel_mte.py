@@ -269,8 +269,9 @@ def _kernel_estimate_in_child(sample):
 
 
 class TestTwoLanePass:
-    """The weight pass runs its row blocks on the calling thread and one
-    worker when two cores are usable; the result must not depend on it."""
+    """The weight pass runs its row blocks on a pool of two worker threads
+    when two cores are usable, and on the calling thread otherwise; the
+    result must not depend on it."""
 
     @pytest.mark.skipif(len(_affinity()) < 2, reason="needs at least two usable CPUs")
     def test_cli_output_identical_on_one_core(self, tmp_path, dgps):
@@ -288,11 +289,15 @@ class TestTwoLanePass:
 
     @pytest.mark.parametrize("blocks", [(0, 1), (1, 2), (1, 3), (2, 9)],
                              ids=lambda b: f"blocks-{b[0]}-{b[1]}")
-    def test_first_point_without_mass_is_reported(self, blocks):
+    def test_first_point_without_mass_is_reported(self, blocks, lognormal_selection):
         """Two isolated points in different row blocks, which either thread
-        may run and finish in either order: the error names the earlier one."""
+        may run and finish in either order: the error names the earlier one.
+        The failed pass leaves the pool usable: a clean estimate after it
+        equals one made before it."""
         from modete.density import _block_rows
 
+        clean = m.generate(lognormal_selection, 3000, seed=4)
+        before = m.estimate_kernel_mte(clean)
         n = 3000
         rng = np.random.default_rng(9)
         x = rng.random((n, 2))
@@ -305,12 +310,16 @@ class TestTwoLanePass:
         with pytest.raises(m.DegenerateLocalityError) as exc:
             m.estimate_kernel_mte(sample, m.KernelSpec(m.EPANECHNIKOV, 0.5))
         assert (exc.value.index, exc.value.arm) == (first, 0)
+        after = m.estimate_kernel_mte(clean)
+        assert (after.theta1, after.theta0, after.se1, after.se0) == (
+            before.theta1, before.theta0, before.se1, before.se0)
+        assert after.curve1.values.tobytes() == before.curve1.values.tobytes()
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork start method")
     def test_forked_child_estimates_after_parent(self, lognormal_selection):
-        """A child forked after the parent's worker thread has run starts a
-        worker of its own: its estimate finishes, on as many threads as the
+        """A child forked after the parent's worker threads have run starts
+        workers of its own: its estimate finishes, on as many threads as the
         parent's, and equals the parent's."""
         sample = m.generate(lognormal_selection, 3000, seed=4)
         want = _kernel_estimate_in_child(sample)
@@ -320,8 +329,8 @@ class TestTwoLanePass:
 
     def test_concurrent_callers_share_the_worker(self, dgps):
         """Four threads estimating at once, with rapid thread switching, all
-        get the estimates a lone call gives (they share one worker thread; a
-        call runs its blocks itself while the worker serves another)."""
+        get the estimates a lone call gives (they queue their blocks on the
+        same two worker threads)."""
         samples = [m.generate(dgps["lognormal-selection"], 1500, seed=s) for s in range(4)]
         want = [m.estimate_kernel_mte(s) for s in samples]
         got = [None] * len(samples)

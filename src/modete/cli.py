@@ -150,6 +150,7 @@ class ResultRecord:
             },
             diagnostics={
                 "flat_curve": result.diagnostics.flat_curve,
+                "mode_at_grid_edge": result.diagnostics.mode_at_grid_edge,
                 "m_hat_sign": result.diagnostics.m_hat_sign,
                 "fold_reseeds": result.diagnostics.fold_reseeds,
                 "warnings": list(result.diagnostics.warnings),

@@ -31,9 +31,10 @@ _DEN_FLOOR = 1e-300
 # Bytes of one block matrix: a row block's covariate weights (both arms), or a
 # grid chunk of curve kernels.  2 MiB keeps a block in a core's L2 cache, which
 # made the weight pass about twice as fast as 64 MiB blocks at n = 8000.  The
-# weight pass runs up to two row blocks at once, one on each worker of its
-# pool (see :func:`_in_order`), so their weights take two budgets; smaller
-# blocks would change the bits of its sums.
+# weight pass runs up to two row blocks at once, and the cross-fitted route up
+# to two folds' kernel sums, one on each worker of the pool (see
+# :func:`_in_order`), so they take two budgets; smaller blocks would change
+# the bits of the weight pass's sums.
 _BLOCK_BYTES = 2 * 2**20
 
 
@@ -155,30 +156,44 @@ def _block_rows(n):
     return max(1, _BLOCK_BYTES // (8 * n))
 
 
-# Blocks that may be queued beyond the next one to be yielded.  Their results
+# Items that may be queued beyond the next one to be yielded.  Their results
 # wait until then, so this bounds the memory they hold; it also lets either
-# worker carry on through a stall of the other of up to this many blocks.
+# worker carry on through a stall of the other of up to this many items.
 _AHEAD = 8
 
 
-def _in_order(fn, starts, threads):
-    """Yield ``fn(start)`` for each block start, in block order.
+def _threads(items):
+    """Threads for a map over ``items`` items: the pool's two workers when
+    there is more than one item and at least two cores are usable, otherwise
+    the calling thread alone."""
+    if items < 2:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return 2 if (cores or 1) > 1 else 1
 
-    On one thread, the calling thread runs the blocks.  On two, they are
-    queued on the pool, whose workers each take the next one as they come
-    free, with at most ``_AHEAD`` queued past the next one to be yielded;
-    ``fn`` must write nothing that another block owns.  An error surfaces in
-    block order, after every earlier block's result; when the generator
-    stops, unstarted blocks are cancelled and running ones waited for, so a
-    failed pass leaves the pool idle.
+
+def _in_order(fn, items, threads=None):
+    """Yield ``fn(item)`` for each item, in order.
+
+    ``threads`` defaults to :func:`_threads`.  On one thread, the calling
+    thread runs the items.  On two, they are queued on the pool, whose
+    workers each take the next one as they come free, with at most
+    ``_AHEAD`` queued past the next one to be yielded; ``fn`` must write
+    nothing that another item owns, and must not map on the pool itself: a
+    worker waiting for items queued behind it could deadlock the pool.  An
+    error surfaces in item order, after every earlier item's result; when the
+    generator stops, unstarted items are cancelled and running ones waited
+    for, so a failed map leaves the pool idle.
     """
+    if threads is None:
+        threads = _threads(len(items))
     if threads < 2:
-        yield from map(fn, starts)
+        yield from map(fn, items)
         return
     pending = deque()
     try:
-        for start in starts:
-            pending.append(_pool.submit(fn, start))
+        for item in items:
+            pending.append(_pool.submit(fn, item))
             if len(pending) > _AHEAD:
                 yield pending.popleft().result()
         while pending:
@@ -300,8 +315,8 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
 
     Each row block writes its own rows of ``den`` and returns its
     contributions to ``c`` and ``c_var``; the blocks run on the calling
-    thread, or on two pool workers when two cores are usable
-    (:func:`_in_order`), and the contributions are added strictly in block
+    thread or on the pool's two workers (:func:`_threads`,
+    :func:`_in_order`), and the contributions are added strictly in block
     order, so the result is bit-identical on one core or two.  A point with
     no kernel mass raises :class:`DegenerateLocalityError` for the first such
     block, as a one-thread pass would.
@@ -314,10 +329,7 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
     acc_var = {arm: np.zeros(i.size) for arm, i in idx.items()} if share is not None else {}
     step = _block_rows(n)
     starts = range(0, n, step)
-    # The pool's two workers, or the calling thread alone when fewer than two
-    # cores are usable or there is one block.
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = 2 if len(starts) > 1 and (cores or 1) > 1 else 1
+    threads = _threads(len(starts))
     # Each thread of the pass reuses one scratch array, holding every arm's
     # weights and, for d > 1, one arm's worth of scratch.  The calling thread
     # makes them all: block-sized arrays made on a worker thread come from its

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .density import DensityCurve, Sample, _kernel_sums
+from .density import DensityCurve, Sample, _in_order, _kernel_sums
 from .errors import ConfigurationError, NoDataError, StratificationError
 from .kernels import DML_METHOD, GAUSSIAN, KernelSpec, kernel_constants, scaled_kernel
 from .kernel_mte import _prepare
@@ -103,18 +103,23 @@ def fit_nuisances(sample: Sample, partition: FoldPartition, spec: KernelSpec, gr
     sums those of the other folds in canonical fold order.  Summing, rather
     than subtracting fold ``k`` from a total, keeps each fit free of fold
     ``k``'s data bit for bit, and the order keeps fold labels invisible.
+    The statistics, then the folds' fits, are pool tasks
+    (:func:`density._in_order`), returned in fold order.
     """
     grid = np.asarray(grid, dtype=float)
     fold_stats = {}
     if g_learner == "ridge":
-        for f in range(partition.K):
+        def arm_stats(key):
+            arm, f = key
             idx = partition.indices(f)
-            for arm in (1, 0):
-                rows = idx[sample.d[idx] == arm]
-                fold_stats[arm, f] = _ridge_stats(sample.x[rows], sample.y[rows], grid, spec)
+            rows = idx[sample.d[idx] == arm]
+            return _ridge_stats(sample.x[rows], sample.y[rows], grid, spec)
+
+        keys = [(arm, f) for f in range(partition.K) for arm in (1, 0)]
+        fold_stats = dict(zip(keys, _in_order(arm_stats, keys)))
     order = _canonical_fold_order(partition)
-    folds = []
-    for k in range(partition.K):
+
+    def fold(k):
         aux = sample.subset(partition.complement(k))
         for arm in (1, 0):
             if aux.arm_count(arm) == 0:
@@ -127,8 +132,9 @@ def fit_nuisances(sample: Sample, partition: FoldPartition, spec: KernelSpec, gr
                 stats = tuple(map(sum, zip(*(fold_stats[arm, f] for f in order if f != k))))
             g[arm] = _fit_outcome(aux.subset(aux.arm_indices(arm)), arm, grid, spec,
                                   g_learner, g_hyper, stats)
-        folds.append(FoldNuisance(pi=pi, g1=g[1], g0=g[0]))
-    return NuisanceBundle(folds=tuple(folds), grid=grid, spec=spec)
+        return FoldNuisance(pi=pi, g1=g[1], g0=g[0])
+
+    return NuisanceBundle(folds=tuple(_in_order(fold, range(partition.K))), grid=grid, spec=spec)
 
 
 def _arm_terms(d, pi, arm):
@@ -191,17 +197,18 @@ class _FoldView:
 
 
 def _dml_arm_fit(sample, partition, bundle, spec, arm):
-    """One arm's :class:`_DMLArmFit`, with fold views in canonical fold order."""
-    views = []
-    for k in _canonical_fold_order(partition):
+    """One arm's :class:`_DMLArmFit`, with fold views in canonical fold order;
+    each fold's propensities are predicted as a pool task."""
+    def view(k):
         idx = partition.indices(k)
         rec = bundle.folds[k]
         x = sample.x[idx]
         g_fit = rec.g1 if arm == 1 else rec.g0
         pi = np.asarray(rec.pi.predict_clipped(x), dtype=float)
         d_a, p_a, r_a = _arm_terms(sample.d[idx].astype(float), pi, arm)
-        views.append(_FoldView(y=sample.y[idx], x=x, d_a=d_a, p_a=p_a, r_a=r_a, g_fit=g_fit))
-    return _DMLArmFit(views, spec, bundle.grid)
+        return _FoldView(y=sample.y[idx], x=x, d_a=d_a, p_a=p_a, r_a=r_a, g_fit=g_fit)
+
+    return _DMLArmFit(list(_in_order(view, _canonical_fold_order(partition))), spec, bundle.grid)
 
 
 def _bracket(grid, yq):
@@ -226,13 +233,17 @@ class _DMLArmFit:
 
         A fold's mean score is a kernel sum over the fold's rows in the arm,
         weighted ``1 / p_a``, minus the ``r_a / p_a``-weighted sum of the
-        outcome fit's predictions; neither forms a (rows, grid) matrix.
+        outcome fit's predictions; neither forms a (rows, grid) matrix.  The
+        folds' means are pool tasks, added in view order.
         """
-        total = np.zeros(grid.size)
-        for v in self.views:
+        def fold_mean(v):
             own = v.d_a == 1.0
             direct = _kernel_sums(self.spec, grid, v.y[own], 1.0 / v.p_a[own], order)
-            total += (direct - v.g_fit.weighted_grid_sum(v.x, v.r_a / v.p_a, order)) / v.y.size
+            return (direct - v.g_fit.weighted_grid_sum(v.x, v.r_a / v.p_a, order)) / v.y.size
+
+        total = np.zeros(grid.size)
+        for mean in _in_order(fold_mean, self.views):
+            total += mean
         return total / len(self.views)
 
     def value(self, yq, order=0):

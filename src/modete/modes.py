@@ -28,10 +28,13 @@ class ModeLocation:
 
 
 def curve_shape_flags(values):
-    """Diagnostic messages for flat or multi-peaked curves (empty if clean).
+    """Diagnostic messages for flat or multi-peaked curves, or for a peak at
+    the first or last grid point (empty if clean).
 
     Only local maxima reaching a quarter of the global peak count as
-    competing modes; smaller wiggles are ordinary sampling noise.
+    competing modes; smaller wiggles are ordinary sampling noise.  A peak at
+    the edge may lie outside the grid, and the sub-grid refinement of
+    :func:`mode_of_curve` then reaches past it.
     """
     v = np.asarray(values, dtype=float)
     flags = []
@@ -46,6 +49,9 @@ def curve_shape_flags(values):
                 f"density curve has {peaks} competing local maxima; "
                 "the unimodality assumption looks violated"
             )
+        if v.argmax() in (0, v.size - 1):
+            flags.append("density curve peaks at the edge of the grid; "
+                         "the grid may not cover the mode")
     return flags
 
 

@@ -12,9 +12,15 @@ from .modes import curve_shape_flags, mode_of_curve
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Soft quality flags accumulated during an estimation run."""
+    """Soft quality flags accumulated during an estimation run.
+
+    ``mode_at_grid_edge`` is set when an arm's grid argmax is the first or
+    last grid point: the grid may not cover the mode, and the sub-grid
+    refinement then reaches past the grid.
+    """
 
     flat_curve: bool = False
+    mode_at_grid_edge: bool = False
     m_hat_sign: bool = False
     fold_reseeds: int = 0
     warnings: tuple = ()
@@ -106,8 +112,11 @@ def estimate_from_fits(fits, grid, spec, *, n, method, alpha, folds=None, fold_r
         theta[arm] = mode_of_curve(curves[arm], fit.value, lambda yq, f=fit: f.value(yq, 1)).theta
     (m1, v1), (m0, v0) = fits[1].components(theta[1]), fits[0].components(theta[0])
     flags = curve_shape_flags(curves[1].values) + curve_shape_flags(curves[0].values)
+    edges = (0, grid.size - 1)
     diag = Diagnostics(
         flat_curve=any(c.values.max() == c.values.min() for c in curves.values()),
+        mode_at_grid_edge=any(c.values.max() > c.values.min() and c.values.argmax() in edges
+                              for c in curves.values()),
         fold_reseeds=fold_reseeds,
         warnings=tuple(flags),
     )

@@ -1,5 +1,12 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -41,3 +48,38 @@ def small_sample(n=40, seed=0, dim=1):
         d[0] = 0
     x = rng.random((n, dim))
     return m.Sample(y, d, x)
+
+
+def usable_cpus():
+    """The CPUs this process may run on (empty where that cannot be read)."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+
+
+def write_csv(path, sample):
+    """Write ``sample`` with columns y, d, x0, x1, ...; returns the x column names."""
+    names = [f"x{c}" for c in range(sample.dim)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["y", "d", *names])
+        for yi, di, xi in zip(sample.y, sample.d, sample.x):
+            w.writerow([repr(float(yi)), int(di), *[repr(float(v)) for v in xi]])
+    return names
+
+
+def cli_estimate(csv_path, x_names, args, cpu=None):
+    """``modete estimate`` in a fresh interpreter, optionally confined to one
+    ``cpu``; returns the JSON record without its timing, as text."""
+    src = str(Path(m.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # The interpreter pins itself: a preexec_fn is unsafe in a process with threads.
+    run = ["-m", "modete.cli"] if cpu is None else [
+        "-c", f"import os, runpy; os.sched_setaffinity(0, {{{cpu}}}); "
+              "runpy.run_module('modete.cli', run_name='__main__')"]
+    proc = subprocess.run(
+        [sys.executable, *run, "estimate", "--input", str(csv_path),
+         "--y", "y", "--d", "d", "--x", ",".join(x_names), *args],
+        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
+        check=True)
+    doc = json.loads(proc.stdout)
+    del doc["timing_ms"]
+    return json.dumps(doc)

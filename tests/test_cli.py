@@ -78,6 +78,7 @@ class TestCmdEstimate:
         assert doc["schema_version"] == "1"
         assert doc["method"] == "kernel"
         assert "folds" not in doc
+        assert doc["diagnostics"]["mode_at_grid_edge"] is False
 
     def test_estimates_match_library_bitwise(self, sample_csv, capsys):
         """The CLI's record, minus its timing, is the library's with the same
@@ -216,6 +217,16 @@ class TestResultRecord:
         res = m.estimate_kernel_mte(sample)
         rec = ResultRecord.from_result(res, timing_ms=12.5)
         assert ResultRecord.from_json(rec.to_json()) == rec
+
+    def test_grid_edge_flag(self, sample_csv):
+        """A mode at the edge of a user grid is flagged in the record, which
+        keeps schema version 1."""
+        _, sample = sample_csv
+        with pytest.warns(m.CurveShapeWarning, match="edge of the grid"):
+            res = m.estimate_kernel_mte(sample, grid=np.linspace(3.0, 6.0, 32))
+        doc = ResultRecord.from_result(res, timing_ms=1.0).to_dict()
+        assert doc["diagnostics"]["mode_at_grid_edge"] is True
+        assert doc["schema_version"] == "1"
 
     def test_unknown_fields_ignored(self, sample_csv):
         _, sample = sample_csv

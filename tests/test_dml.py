@@ -1,6 +1,8 @@
 """Cross-fitting, orthogonal scores, DML curves, variance, orthogonality."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 
 import modete as m
 from modete.dml import FoldNuisance, NuisanceBundle
+
+from conftest import cli_estimate, usable_cpus, write_csv
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -391,6 +395,55 @@ class TestFoldSumsMatchRefits:
         got = m.dml_variance_components(sample, part, bundle, spec, theta[1], theta[0])
         for g, w in zip(got, (want[1][0], want[0][0], want[1][1], want[0][1])):
             assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+
+LEARNERS = [("logistic", "ridge"), ("knn", "knn")]
+
+
+class TestPoolTasks:
+    """The per-fold ridge statistics, fits, propensities and mean scores run
+    on the pool's two worker threads when two cores are usable, and on the
+    calling thread otherwise; the result must not depend on it."""
+
+    @pytest.mark.skipif(len(usable_cpus()) < 2, reason="needs at least two usable CPUs")
+    @pytest.mark.parametrize("pi_learner, g_learner", LEARNERS, ids=["ridge", "knn"])
+    def test_cli_output_identical_on_one_core(self, pi_learner, g_learner, tmp_path, dgps):
+        sample = m.generate(dgps["skew-mixture"], 3000, seed=3)
+        path = tmp_path / "data.csv"
+        names = write_csv(path, sample)
+        args = ["--method", "dml", "--learner-pi", pi_learner, "--learner-g", g_learner]
+        one = cli_estimate(path, names, args, min(usable_cpus()))
+        assert one == cli_estimate(path, names, args)
+
+    @pytest.mark.parametrize("pi_learner, g_learner", LEARNERS, ids=["ridge", "knn"])
+    def test_concurrent_callers_share_the_pool(self, pi_learner, g_learner, lognormal_selection):
+        """Four threads estimating at once, with rapid thread switching, all
+        finish and get the estimates a lone call gives; a fold task that
+        queued work on the pool it runs on, and waited for it, could
+        deadlock the pool."""
+        cfg = m.DMLConfig(pi_learner=pi_learner, g_learner=g_learner)
+        samples = [m.generate(lognormal_selection, 1500, seed=s) for s in range(4)]
+        want = [m.estimate_dml_mte(s, cfg) for s in samples]
+        got = [None] * len(samples)
+
+        def run(i):
+            got[i] = m.estimate_dml_mte(samples[i], cfg)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(samples))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for g, w in zip(got, want):
+            assert g == w
+            assert g.curve1.values.tobytes() == w.curve1.values.tobytes()
+            assert g.curve0.values.tobytes() == w.curve0.values.tobytes()
 
 
 def test_estimate_memory_is_bounded(lognormal_selection):

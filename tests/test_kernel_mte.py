@@ -1,11 +1,7 @@
 """The kernel-route estimator: standardization, estimates, variance, CIs."""
 
-import csv
-import json
 import math
 import multiprocessing
-import os
-import subprocess
 import sys
 import threading
 import tracemalloc
@@ -17,7 +13,7 @@ from scipy.special import ndtri
 
 import modete as m
 
-from conftest import small_sample
+from conftest import cli_estimate, small_sample, usable_cpus, write_csv
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -236,29 +232,13 @@ class TestOnePassVariance:
         assert peak <= 6 * _BLOCK_BYTES + 256 * n
 
 
-def _affinity():
-    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
-
-
 def _cli_kernel_estimate(csv_path, curves_path, cpu=None):
-    """``modete estimate --method kernel`` in a fresh interpreter, optionally
+    """``modete estimate --method kernel`` on a two-covariate CSV, optionally
     confined to one ``cpu``; returns the JSON record without its timing, and
     the curves file."""
-    src = str(Path(m.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    # The interpreter pins itself: a preexec_fn is unsafe in a process with threads.
-    run = ["-m", "modete.cli"] if cpu is None else [
-        "-c", f"import os, runpy; os.sched_setaffinity(0, {{{cpu}}}); "
-              "runpy.run_module('modete.cli', run_name='__main__')"]
-    proc = subprocess.run(
-        [sys.executable, *run, "estimate", "--input", str(csv_path),
-         "--y", "y", "--d", "d", "--x", "x0,x1", "--method", "kernel",
-         "--emit-curves", str(curves_path)],
-        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
-        check=True)
-    doc = json.loads(proc.stdout)
-    del doc["timing_ms"]
-    return json.dumps(doc), Path(curves_path).read_bytes()
+    doc = cli_estimate(csv_path, ["x0", "x1"],
+                       ["--method", "kernel", "--emit-curves", str(curves_path)], cpu)
+    return doc, Path(curves_path).read_bytes()
 
 
 def _kernel_estimate_in_child(sample):
@@ -273,17 +253,13 @@ class TestTwoLanePass:
     when two cores are usable, and on the calling thread otherwise; the
     result must not depend on it."""
 
-    @pytest.mark.skipif(len(_affinity()) < 2, reason="needs at least two usable CPUs")
+    @pytest.mark.skipif(len(usable_cpus()) < 2, reason="needs at least two usable CPUs")
     def test_cli_output_identical_on_one_core(self, tmp_path, dgps):
         sample = m.generate(dgps["skew-mixture"], 3000, seed=3)
         assert sample.dim == 2
         path = tmp_path / "data.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["y", "d", "x0", "x1"])
-            for yi, di, xi in zip(sample.y, sample.d, sample.x):
-                w.writerow([repr(float(yi)), int(di), *[repr(float(v)) for v in xi]])
-        one = _cli_kernel_estimate(path, tmp_path / "one.csv", min(_affinity()))
+        write_csv(path, sample)
+        one = _cli_kernel_estimate(path, tmp_path / "one.csv", min(usable_cpus()))
         two = _cli_kernel_estimate(path, tmp_path / "two.csv")
         assert one == two
 
@@ -379,7 +355,35 @@ def test_grid_without_kernel_mass_sets_flat_curve(route, lognormal_plain):
         res = estimate(far)
     assert not res.curve1.values.any() and not res.curve0.values.any()
     assert res.diagnostics.flat_curve
+    assert not res.diagnostics.mode_at_grid_edge
     assert not estimate(None).diagnostics.flat_curve
+
+
+@pytest.mark.parametrize("edge", ["first", "last"])
+@pytest.mark.parametrize("route", ["kernel", "dml"])
+def test_mode_at_grid_edge_is_flagged(route, edge, lognormal_plain):
+    """A user grid that stops short of both modes puts each arm's argmax at
+    its first or last point: the diagnostics flag it, with a warning; the
+    default grid does not."""
+    sample = m.generate(lognormal_plain, 300, seed=5)
+
+    def estimate(grid):
+        if route == "kernel":
+            return m.estimate_kernel_mte(sample, grid=grid)
+        return m.estimate_dml_mte(sample, m.DMLConfig(grid=grid))
+
+    default = estimate(None)
+    assert not default.diagnostics.mode_at_grid_edge
+    modes = sorted((default.theta0, default.theta1))
+    if edge == "first":
+        grid, index = np.linspace(modes[1] + 0.5, sample.y.max(), 64), 0
+    else:
+        grid, index = np.linspace(sample.y.min(), modes[0] - 0.3, 64), 63
+    with pytest.warns(m.CurveShapeWarning, match="edge of the grid"):
+        res = estimate(grid)
+    assert np.argmax(res.curve1.values) == np.argmax(res.curve0.values) == index
+    assert res.diagnostics.mode_at_grid_edge
+    assert sum("edge of the grid" in w for w in res.diagnostics.warnings) == 2
 
 
 def test_robust_scale_uses_min_of_sd_and_iqr():

@@ -42,6 +42,12 @@ def test_multimodal_curve_warns():
         m.argmax_on_grid(curve([0, 5, 0, 4.9, 0]))
 
 
+@pytest.mark.parametrize("values", [[5, 3, 1], [1, 3, 5]], ids=["first", "last"])
+def test_peak_at_grid_edge_warns(values):
+    with pytest.warns(m.CurveShapeWarning, match="edge of the grid"):
+        m.argmax_on_grid(curve(values))
+
+
 def test_refine_mode_recovers_quadratic_vertex():
     got = m.refine_mode(lambda y: -((y - 0.3) ** 2), y0=0.25, window=0.1)
     assert got == pytest.approx(0.3, abs=1e-9)

@@ -138,19 +138,32 @@ def _fit_logistic(x, d, hyper):
     return predict
 
 
-def _nearest(train, query, k):
+def _nearest(train, query, k, scratch):
     """Indices of the k nearest training rows for each query row, ascending.
 
     These are the first k rows of a stable sort by squared distance: every
     row closer than the k-th distance, then the lowest-index rows at exactly
     that distance.  Ascending indices make neighborhood averages reduce in a
     canonical order (a full neighborhood reproduces the plain arm average
-    bit-for-bit).
+    bit-for-bit).  Every block array is computed into ``scratch``, made for
+    at least as many query rows by the caller: room for the coordinate
+    differences (later the partitioned distances), the squared distances and
+    two masks.
     """
-    d2 = np.sum((query[:, None, :] - train[None, :, :]) ** 2, axis=-1)
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    keep = d2 < kth
-    ties = d2 == kth
+    m, n = query.shape[0], train.shape[0]
+    flat, d2, keep, ties = scratch
+    d2, keep, ties = d2[:m], keep[:m], ties[:m]
+    diff = flat[:m * train.size].reshape(m, n, -1)
+    np.subtract(query[:, None, :], train[None, :, :], out=diff)
+    np.square(diff, out=diff)
+    np.sum(diff, axis=-1, out=d2)
+    # The differences are spent; their memory takes the partitioned copy.
+    part = flat[:m * n].reshape(m, n)
+    np.copyto(part, d2)
+    part.partition(k - 1, axis=1)
+    kth = part[:, k - 1:k]
+    np.less(d2, kth, out=keep)
+    np.equal(d2, kth, out=ties)
     room = k - keep.sum(axis=1)
     # Only rows with more ties at the k-th distance than places left need the
     # lowest-index ties picked out; elsewhere every tie is kept.
@@ -189,8 +202,11 @@ class _Neighbors:
             return last_nb
         nb = np.empty((query.shape[0], self.k), dtype=np.intp)
         step = _block_rows(self.train.size)
+        rows, n = min(step, query.shape[0]), self.train.shape[0]
+        scratch = (np.empty(rows * self.train.size), np.empty((rows, n)),
+                   np.empty((rows, n), dtype=bool), np.empty((rows, n), dtype=bool))
         for s in range(0, query.shape[0], step):
-            nb[s:s + step] = _nearest(self.train, query[s:s + step], self.k)
+            nb[s:s + step] = _nearest(self.train, query[s:s + step], self.k, scratch)
         self._last = (query, nb)
         return nb
 

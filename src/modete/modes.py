@@ -33,8 +33,8 @@ def curve_shape_flags(values):
 
     Only local maxima reaching a quarter of the global peak count as
     competing modes; smaller wiggles are ordinary sampling noise.  A peak at
-    the edge may lie outside the grid, and the sub-grid refinement of
-    :func:`mode_of_curve` then reaches past it.
+    the edge may lie outside the grid; :func:`mode_of_curve` then returns the
+    edge point unrefined.
     """
     v = np.asarray(values, dtype=float)
     flags = []
@@ -92,19 +92,16 @@ def mode_of_curve(curve: DensityCurve, evaluate=None, evaluate_deriv=None):
 
     ``evaluate`` must be the exact order-0 density evaluator (the refinement
     re-queries it inside one grid cell); ``evaluate_deriv`` the order-1
-    evaluator used only to report the first-order-condition residual.
+    evaluator used only to report the first-order-condition residual.  A peak
+    at the first or last grid point is returned unrefined: refining it would
+    evaluate the curve beyond the grid.
     """
     idx, _ = argmax_on_grid(curve)
     grid = curve.grid
-    m = grid.size
-    if evaluate is None:
-        theta = float(grid[idx])
-        refined = False
-    else:
-        left = grid[idx] - grid[idx - 1] if idx > 0 else grid[idx + 1] - grid[idx]
-        right = grid[idx + 1] - grid[idx] if idx < m - 1 else grid[idx] - grid[idx - 1]
-        window = min(left, right)
-        theta = float(refine_mode(evaluate, float(grid[idx]), window))
-        refined = True
+    refined = evaluate is not None and 0 < idx < grid.size - 1
+    theta = float(grid[idx])
+    if refined:
+        window = min(grid[idx] - grid[idx - 1], grid[idx + 1] - grid[idx])
+        theta = float(refine_mode(evaluate, theta, window))
     foc = float(evaluate_deriv(theta)) if evaluate_deriv is not None else math.nan
     return ModeLocation(theta=theta, grid_index=idx, refined=refined, foc_residual=foc)

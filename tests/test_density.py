@@ -204,6 +204,55 @@ def test_curve_matches_scaled_kernel_sum_bitwise():
         assert np.array_equal(fit.curve(grid), want)
 
 
+@pytest.mark.parametrize("h", [0.02, 0.2, 1.0])
+def test_kernel_sums_zero_the_underflow_tail(h):
+    """Order-0 Gaussian sums never compute a subnormal kernel: a kernel whose
+    exp argument is below the floor is exactly 0, every other one keeps the
+    bits of ``scaled_kernel``."""
+    from modete.density import _EXP_FLOOR, _kernel_sums
+
+    rng = np.random.default_rng(17)
+    y = np.exp(rng.normal(0.0, 0.8, 400))
+    grid = np.linspace(y.min() - 40 * h, y.max() + 40 * h, 97)
+    spec = m.KernelSpec(m.GAUSSIAN, h)
+    w = np.column_stack([np.ones(y.size), 1.0 + rng.random(y.size)])
+    diff = grid[:, None] - y[None, :]
+    u = diff / h
+    arg = -0.5 * u * u
+    with np.errstate(under="ignore"):
+        ref = m.scaled_kernel(spec, diff, 0)
+    assert np.any((ref > 0) & (ref < np.finfo(float).tiny))  # the tail has subnormals
+    ref[arg < _EXP_FLOOR] = 0.0
+    with np.errstate(under="raise"):
+        got = _kernel_sums(spec, grid, y, w)
+    assert np.array_equal(got, ref @ w)
+
+
+def test_kernel_sums_of_a_far_outcome_are_zero():
+    """An outcome so far from the grid that ``((g - y) / h) ** 2`` overflows
+    contributes 0, as ``scaled_kernel`` gives it, not nan."""
+    from modete.density import _kernel_sums
+
+    spec = m.KernelSpec(m.GAUSSIAN, 0.5)
+    y = np.array([0.0, 1e200])
+    grid = np.linspace(-1.0, 1.0, 5)
+    with np.errstate(over="ignore", under="ignore"):
+        want = m.scaled_kernel(spec, grid[:, None] - y[None, :], 0) @ np.ones(2)
+        got = _kernel_sums(spec, grid, y, np.ones(2))
+    assert np.array_equal(got, want)
+
+
+def test_covariate_weights_keep_the_subnormal_tail():
+    """The covariate kernel is not cut: a pair 37.7 bandwidths apart still
+    gets a nonzero, subnormal weight."""
+    from modete.density import _product_weights_block
+
+    spec = m.KernelSpec(m.GAUSSIAN, 0.3)
+    with np.errstate(under="ignore"):
+        w = _product_weights_block(np.array([[0.0]]), np.array([[37.7 * spec.h]]), spec)
+    assert 0.0 < w[0, 0] < np.finfo(float).tiny
+
+
 def test_curve_memory_is_bounded(lognormal_selection):
     """One kernel chunk at a time: the curve's peak allocation stays within
     two block budgets plus a few grid-sized arrays."""

@@ -363,8 +363,8 @@ def test_grid_without_kernel_mass_sets_flat_curve(route, lognormal_plain):
 @pytest.mark.parametrize("route", ["kernel", "dml"])
 def test_mode_at_grid_edge_is_flagged(route, edge, lognormal_plain):
     """A user grid that stops short of both modes puts each arm's argmax at
-    its first or last point: the diagnostics flag it, with a warning; the
-    default grid does not."""
+    its first or last point: the diagnostics flag it, with a warning, and
+    each mode is that grid point, unrefined; the default grid does not."""
     sample = m.generate(lognormal_plain, 300, seed=5)
 
     def estimate(grid):
@@ -382,6 +382,7 @@ def test_mode_at_grid_edge_is_flagged(route, edge, lognormal_plain):
     with pytest.warns(m.CurveShapeWarning, match="edge of the grid"):
         res = estimate(grid)
     assert np.argmax(res.curve1.values) == np.argmax(res.curve0.values) == index
+    assert res.theta1 == res.theta0 == grid[index]
     assert res.diagnostics.mode_at_grid_edge
     assert sum("edge of the grid" in w for w in res.diagnostics.warnings) == 2
 

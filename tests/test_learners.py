@@ -224,17 +224,20 @@ def knn_oracle(x, xq, k, targets):
 
 
 class TestKnnNeighbors:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
     @pytest.mark.parametrize("k", [1, None, 600], ids=["k1", "default", "all"])
     @pytest.mark.parametrize("rounded", [False, True], ids=["random", "tied"])
     def test_matches_stable_sort_oracle(self, dim, k, rounded):
         """Exact agreement, ties at the k-th distance included; 500 queries
-        against 600 rows span several query blocks."""
+        against 600 rows span several query blocks.  With 8 coordinates a
+        0.1 lattice spreads the distances too far for ties, so the tied case
+        rounds to whole units there."""
         rng = np.random.default_rng(dim)
         n = 600
         x, xq = rng.random((n, dim)), rng.random((500, dim))
         if rounded:
-            x, xq = np.round(x, 1), np.round(xq, 1)
+            decimals = 0 if dim == 8 else 1
+            x, xq = np.round(x, decimals), np.round(xq, decimals)
         y = rng.normal(size=n)
         d = (rng.random(n) < 0.5).astype(int)
         kk = k or math.ceil(n ** 0.6)

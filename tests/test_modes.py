@@ -48,6 +48,24 @@ def test_peak_at_grid_edge_warns(values):
         m.argmax_on_grid(curve(values))
 
 
+@pytest.mark.parametrize("values", [[5, 3, 1], [1, 3, 5]], ids=["first", "last"])
+def test_peak_at_grid_edge_is_not_refined(values):
+    """An edge peak is returned as its grid point, with the curve evaluated
+    on the grid only."""
+    c = curve(values)
+    queried = []
+
+    def evaluate(y):
+        queried.append(y)
+        return 1.0
+
+    with pytest.warns(m.CurveShapeWarning, match="edge of the grid"):
+        loc = m.mode_of_curve(c, evaluate=evaluate, evaluate_deriv=evaluate)
+    assert loc.theta == c.grid[loc.grid_index] == c.grid[np.argmax(values)]
+    assert not loc.refined
+    assert all(c.grid[0] <= y <= c.grid[-1] for y in queried)
+
+
 def test_refine_mode_recovers_quadratic_vertex():
     got = m.refine_mode(lambda y: -((y - 0.3) ** 2), y0=0.25, window=0.1)
     assert got == pytest.approx(0.3, abs=1e-9)

@@ -36,9 +36,9 @@ _EXP_FLOOR = -707.0
 # grid chunk of curve kernels.  2 MiB keeps a block in a core's L2 cache, which
 # made the weight pass about twice as fast as 64 MiB blocks at n = 8000.  The
 # weight pass runs up to two row blocks at once, and the cross-fitted route up
-# to two folds' kernel sums, one on each worker of the pool (see
-# :func:`_in_order`), so they take two budgets; smaller blocks would change
-# the bits of the weight pass's sums.
+# to two folds' fits, one on each worker of the pool (see :func:`_in_order`),
+# so they take two budgets; smaller blocks would change the bits of the weight
+# pass's sums.
 _BLOCK_BYTES = 2 * 2**20
 
 
@@ -284,13 +284,16 @@ def _kernel_sums(spec, grid, y, w, order=0):
 
 @dataclass(frozen=True, eq=False)
 class KernelArmFit:
-    """One arm's kernel-route fit: curve weights over the arm's outcomes.
+    """One arm's fit on either route: curve weights over the arm's outcomes.
 
     A curve value at ``y`` is ``sum(c * K_h^(order)(y - y_arm)) / n``; with
-    variance weights ``c_var`` (see :func:`_weight_pass`) the same sum at
-    ``theta`` averages ``f_hat(theta | x_i) / p_i`` for the score variance.
-    Only the estimator's pass computes ``c_var``; :func:`marginal_arm_fit`
-    leaves it None, so such a fit has no :meth:`components`.
+    variance weights ``c_var`` the same sum at ``theta`` is the mean of the
+    score-variance row.  The kernel route (:func:`_weight_pass`) divides by
+    the sample size, and its ``c_var`` averages ``f_hat(theta | x_i) / p_i``;
+    the cross-fitted route (``dml._arm_fits``) divides by the fold count, and
+    its weights are the fold-averaged orthogonal score's.
+    :func:`marginal_arm_fit` leaves ``c_var`` None, so such a fit has no
+    :meth:`components`.
     """
 
     y: np.ndarray

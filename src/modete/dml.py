@@ -22,13 +22,11 @@ from typing import Callable
 
 import numpy as np
 
-from .density import DensityCurve, Sample, _in_order, _kernel_sums
+from .density import DensityCurve, KernelArmFit, Sample, _in_order
 from .errors import ConfigurationError, NoDataError, StratificationError
-from .kernels import DML_METHOD, GAUSSIAN, KernelSpec, kernel_constants, scaled_kernel
+from .kernels import DML_METHOD, GAUSSIAN, KernelSpec, scaled_kernel
 from .kernel_mte import _prepare
-from .learners import (
-    PropensityFit, SmoothedOutcomeFit, _fit_outcome, _ridge_stats, fit_propensity,
-)
+from .learners import PropensityFit, SmoothedOutcomeFit, fit_propensity, fit_smoothed_outcome
 from .results import MTEResult, estimate_from_fits
 
 
@@ -99,25 +97,10 @@ def fit_nuisances(sample: Sample, partition: FoldPartition, spec: KernelSpec, gr
     """Fit the propensity and both smoothed-outcome regressions per fold.
 
     Fold ``k``'s record is fitted using only observations outside fold ``k``.
-    Ridge statistics are computed once per fold and arm; fold ``k``'s fit
-    sums those of the other folds in canonical fold order.  Summing, rather
-    than subtracting fold ``k`` from a total, keeps each fit free of fold
-    ``k``'s data bit for bit, and the order keeps fold labels invisible.
-    The statistics, then the folds' fits, are pool tasks
-    (:func:`density._in_order`), returned in fold order.
+    The folds' fits are pool tasks (:func:`density._in_order`), returned in
+    fold order.
     """
     grid = np.asarray(grid, dtype=float)
-    fold_stats = {}
-    if g_learner == "ridge":
-        def arm_stats(key):
-            arm, f = key
-            idx = partition.indices(f)
-            rows = idx[sample.d[idx] == arm]
-            return _ridge_stats(sample.x[rows], sample.y[rows], grid, spec)
-
-        keys = [(arm, f) for f in range(partition.K) for arm in (1, 0)]
-        fold_stats = dict(zip(keys, _in_order(arm_stats, keys)))
-    order = _canonical_fold_order(partition)
 
     def fold(k):
         aux = sample.subset(partition.complement(k))
@@ -125,13 +108,8 @@ def fit_nuisances(sample: Sample, partition: FoldPartition, spec: KernelSpec, gr
             if aux.arm_count(arm) == 0:
                 raise NoDataError(f"auxiliary sample of fold {k} has no arm-{arm} observations")
         pi = fit_propensity(aux, learner=pi_learner, hyper=pi_hyper, clip_kappa=kappa)
-        g = {}
-        for arm in (1, 0):
-            stats = None
-            if fold_stats:
-                stats = tuple(map(sum, zip(*(fold_stats[arm, f] for f in order if f != k))))
-            g[arm] = _fit_outcome(aux.subset(aux.arm_indices(arm)), arm, grid, spec,
-                                  g_learner, g_hyper, stats)
+        g = {arm: fit_smoothed_outcome(aux.subset(aux.arm_indices(arm)), arm, grid, spec,
+                                       g_learner, g_hyper) for arm in (1, 0)}
         return FoldNuisance(pi=pi, g1=g[1], g0=g[0])
 
     return NuisanceBundle(folds=tuple(_in_order(fold, range(partition.K))), grid=grid, spec=spec)
@@ -178,104 +156,45 @@ def _canonical_fold_order(partition: FoldPartition):
     return np.argsort(np.asarray(mins), kind="stable")
 
 
-@dataclass(frozen=True, eq=False)
-class _FoldView:
-    """One fold's slices for one arm, with the arm's score terms ``d_a``,
-    ``p_a`` and ``r_a`` (see :func:`_arm_terms`) and its outcome fit."""
+def _arm_fits(sample, partition, bundle, spec, arms=(1, 0)):
+    """The cross-fitted score of each arm as a :class:`KernelArmFit`.
 
-    y: np.ndarray
-    x: np.ndarray
-    d_a: np.ndarray
-    p_a: np.ndarray
-    r_a: np.ndarray
-    g_fit: SmoothedOutcomeFit
-
-    def g_at(self, order, j, t):
-        """Predictions at an off-grid point, linear between columns ``j, j+1``."""
-        cols = np.asarray(self.g_fit.predict_grid(self.x, order, cols=[j, j + 1]), dtype=float)
-        return (1.0 - t) * cols[:, 0] + t * cols[:, 1]
-
-
-def _dml_arm_fit(sample, partition, bundle, spec, arm):
-    """One arm's :class:`_DMLArmFit`, with fold views in canonical fold order;
-    each fold's propensities are predicted as a pool task."""
-    def view(k):
+    Both outcome learners are linear smoothers of the kernel targets, so
+    fold ``k``'s mean score at ``y`` is one weighted kernel sum: weight
+    ``1 / p_a`` on each of the fold's own rows in the arm, and
+    ``-row_weights(x_k, r_a / p_a)`` on the rows of the fold's outcome fit,
+    all divided by the fold size ``n_k``.  The variance row takes
+    ``1 / p_a**2`` and ``2 r_a / p_a**2`` in their place.  Each fold
+    predicts its propensities once and forms both arms' weights as one pool
+    task.  The folds' weights are merged in canonical fold order, and every
+    sum is divided by K, so fold labels and the thread count leave no trace
+    in the bits.  Weights of equal outcomes are added: an outcome fit may be
+    trained on any rows, and rows with one outcome value have one kernel.
+    """
+    def fold(k):
         idx = partition.indices(k)
         rec = bundle.folds[k]
-        x = sample.x[idx]
-        g_fit = rec.g1 if arm == 1 else rec.g0
+        x, y = sample.x[idx], sample.y[idx]
         pi = np.asarray(rec.pi.predict_clipped(x), dtype=float)
-        d_a, p_a, r_a = _arm_terms(sample.d[idx].astype(float), pi, arm)
-        return _FoldView(y=sample.y[idx], x=x, d_a=d_a, p_a=p_a, r_a=r_a, g_fit=g_fit)
+        d = sample.d[idx].astype(float)
+        parts = {}
+        for arm in arms:
+            d_a, p_a, r_a = _arm_terms(d, pi, arm)
+            g_fit = rec.g1 if arm == 1 else rec.g0
+            own = d_a == 1.0
+            u = g_fit.row_weights(x, np.column_stack([r_a / p_a, 2.0 * r_a / p_a ** 2]))
+            w = np.concatenate([np.column_stack([1.0 / p_a[own], 1.0 / p_a[own] ** 2]), -u])
+            parts[arm] = np.concatenate([y[own], g_fit.y]), w / idx.size
+        return parts
 
-    return _DMLArmFit(list(_in_order(view, _canonical_fold_order(partition))), spec, bundle.grid)
-
-
-def _bracket(grid, yq):
-    """Left column and interpolation weight for an off-grid outcome query."""
-    j = int(np.searchsorted(grid, yq)) - 1
-    j = min(max(j, 0), grid.size - 2)
-    t = (yq - grid[j]) / (grid[j + 1] - grid[j])
-    return j, min(max(t, 0.0), 1.0)
-
-
-@dataclass(frozen=True, eq=False)
-class _DMLArmFit:
-    """One arm's cross-fitted score fit: fold means of the orthogonal score,
-    averaged over the folds with equal weights."""
-
-    views: list
-    spec: KernelSpec
-    grid: np.ndarray
-
-    def curve(self, grid, order=0):
-        """Curve values over the fits' grid.
-
-        A fold's mean score is a kernel sum over the fold's rows in the arm,
-        weighted ``1 / p_a``, minus the ``r_a / p_a``-weighted sum of the
-        outcome fit's predictions; neither forms a (rows, grid) matrix.  The
-        folds' means are pool tasks, added in view order.
-        """
-        def fold_mean(v):
-            own = v.d_a == 1.0
-            direct = _kernel_sums(self.spec, grid, v.y[own], 1.0 / v.p_a[own], order)
-            return (direct - v.g_fit.weighted_grid_sum(v.x, v.r_a / v.p_a, order)) / v.y.size
-
-        total = np.zeros(grid.size)
-        for mean in _in_order(fold_mean, self.views):
-            total += mean
-        return total / len(self.views)
-
-    def value(self, yq, order=0):
-        """Curve value at an off-grid point: exact kernels, interpolated g.
-
-        The smoothed-outcome fits are only defined on the grid, so off-grid
-        queries interpolate the per-fold predictions linearly between the two
-        bracketing grid columns while the kernel factor is evaluated exactly.
-        """
-        j, t = _bracket(self.grid, yq)
-        total = 0.0
-        for v in self.views:
-            kv = scaled_kernel(self.spec, yq - v.y, order)
-            total += float(_score(v.d_a, v.p_a, v.r_a, kv, v.g_at(order, j, t)).mean())
-        return total / len(self.views)
-
-    def components(self, theta):
-        """Equivalent-form sandwich components ``(m_hat, v_hat)`` at ``theta``.
-
-        The curvature is the order-2 score value; the variance row uses the
-        order-0 kernel, the squared clipped probability and the factor -2
-        correction, multiplied by the kernel constant so it estimates the same
-        population quantity as the plug-in route.
-        """
-        j, t = _bracket(self.grid, theta)
-        v_sum = 0.0
-        for v in self.views:
-            kv = scaled_kernel(self.spec, theta - v.y, 0)
-            g = v.g_at(0, j, t)
-            v_sum += float(np.mean(v.d_a * kv / v.p_a ** 2 - 2.0 * v.r_a / v.p_a ** 2 * g))
-        kappa0_1 = kernel_constants(self.spec.family).kappa0_1
-        return self.value(theta, 2), kappa0_1 * v_sum / len(self.views)
+    folds = list(_in_order(fold, _canonical_fold_order(partition)))
+    fits = {}
+    for arm in arms:
+        y, at = np.unique(np.concatenate([f[arm][0] for f in folds]), return_inverse=True)
+        w = np.concatenate([f[arm][1] for f in folds])
+        c, c_var = (np.bincount(at, weights=col, minlength=y.size) for col in w.T)
+        fits[arm] = KernelArmFit(y, c, c_var, spec, partition.K)
+    return fits
 
 
 def _check_bundle(partition, bundle, spec):
@@ -298,7 +217,7 @@ def dml_density_curve(sample: Sample, partition: FoldPartition, bundle: Nuisance
     if not np.array_equal(grid, bundle.grid):
         raise ConfigurationError("query grid does not match the grid the nuisances were fitted on")
     _check_bundle(partition, bundle, spec)
-    fit = _dml_arm_fit(sample, partition, bundle, spec, arm)
+    fit = _arm_fits(sample, partition, bundle, spec, arms=(arm,))[arm]
     return DensityCurve(grid=grid, values=fit.curve(grid, order), arm=arm, order=order, spec=spec)
 
 
@@ -306,7 +225,7 @@ def dml_variance_components(sample: Sample, partition: FoldPartition,
                             bundle: NuisanceBundle, spec: KernelSpec, theta1, theta0):
     """Cross-fitted sandwich components ``(m1_hat, m0_hat, v1_hat, v0_hat)``."""
     _check_bundle(partition, bundle, spec)
-    fits = {arm: _dml_arm_fit(sample, partition, bundle, spec, arm) for arm in (1, 0)}
+    fits = _arm_fits(sample, partition, bundle, spec)
     (m1, v1), (m0, v0) = fits[1].components(theta1), fits[0].components(theta0)
     return m1, m0, v1, v0
 
@@ -375,8 +294,8 @@ def estimate_dml_mte(sample: Sample, config: DMLConfig | None = None) -> MTEResu
                            pi_learner=config.pi_learner, g_learner=config.g_learner,
                            pi_hyper=config.pi_hyper, g_hyper=config.g_hyper,
                            kappa=config.kappa)
-    fits = {arm: _dml_arm_fit(std_sample, partition, bundle, spec, arm) for arm in (1, 0)}
-    return estimate_from_fits(fits, grid, spec, n=n, method=DML_METHOD, alpha=config.alpha,
+    return estimate_from_fits(_arm_fits(std_sample, partition, bundle, spec), grid, spec,
+                              n=n, method=DML_METHOD, alpha=config.alpha,
                               folds=config.folds, fold_reseeds=reseeds)
 
 

@@ -3,8 +3,12 @@ the smoothed-outcome regressions fitted jointly over an outcome grid.
 
 The smoothed-outcome target for observation ``i`` at grid point ``y_j`` and
 derivative order ``s`` is the scaled kernel ``K_h^(s)(y_j - y_i)``, fitted on
-one treatment arm only.  Ridge solves all (grid point, order) targets against
-a single factorization of the design; KNN averages targets over neighbors.
+one treatment arm only.  Ridge solves every (grid point, order) target
+against one Cholesky factor of the design's Gram matrix; KNN averages
+targets over neighbors.  Both are linear in the targets, so a weighted sum
+of predictions is a weighted kernel sum over the fit's own outcomes
+(:attr:`SmoothedOutcomeFit.row_weights`), which is how the cross-fitted
+route reads them.
 
 Learner hyperparameters are plain dicts.  Documented defaults:
 
@@ -180,9 +184,7 @@ class _Neighbors:
     """Brute-force k-nearest-neighbor search on standardized covariates.
 
     Both the distance search and the neighborhood averages run in query-row
-    blocks bounded by the shared block budget.  The neighbors of the last
-    query set are kept: the cross-fitted route queries each fit repeatedly
-    on the same fold rows (once per arm, once per derivative order).
+    blocks bounded by the shared block budget.
     """
 
     def __init__(self, x, hyper):
@@ -191,15 +193,9 @@ class _Neighbors:
         self.k = min(max(k, 1), n)
         self.mu, self.sd = _standardizer(x)
         self.train = (x - self.mu) / self.sd
-        self._last = (None, None)  # (standardized query, its neighbor indices)
 
     def neighbors(self, xq):
         query = (np.atleast_2d(np.asarray(xq, dtype=float)) - self.mu) / self.sd
-        last_query, last_nb = self._last
-        # ``query`` is a fresh array, so a caller mutating ``xq`` later
-        # cannot alter the remembered key.
-        if last_query is not None and np.array_equal(query, last_query):
-            return last_nb
         nb = np.empty((query.shape[0], self.k), dtype=np.intp)
         step = _block_rows(self.train.size)
         rows, n = min(step, query.shape[0]), self.train.shape[0]
@@ -207,7 +203,6 @@ class _Neighbors:
                    np.empty((rows, n), dtype=bool), np.empty((rows, n), dtype=bool))
         for s in range(0, query.shape[0], step):
             nb[s:s + step] = _nearest(self.train, query[s:s + step], self.k, scratch)
-        self._last = (query, nb)
         return nb
 
     def average(self, targets, xq):
@@ -281,94 +276,64 @@ def fit_propensity(subset: Sample, learner="logistic", hyper=None, clip_kappa=0.
 class SmoothedOutcomeFit:
     """Grid-indexed regressions of smoothed-outcome targets on covariates.
 
-    ``predict(x, grid_index, order)`` returns one fitted value; call
-    ``predict_grid(X, order, cols=None)`` for a (k, n_cols) block.  The fit is
-    restricted to observations of a single arm.
+    The fit is restricted to observations of a single arm, whose outcomes
+    are ``y``.  ``predict_grid(X, order, cols=None)`` returns a (k, n_cols)
+    block of fitted values; :meth:`predict` one of them.  Both learners are
+    linear smoothers of the kernel targets, so ``row_weights(X, w)`` gives
+    weights ``u`` over the fit's rows with ``w @ predict_grid(X, order)[:, j]
+    == sum_t u_t K_h^(order)(grid[j] - y_t)`` for every order and column;
+    ``w`` has shape (k,) or (k, c), and ``u`` then (len(y),) or (len(y), c).
     """
 
     grid: np.ndarray
     arm: int
     spec: KernelSpec
     learner_id: str
-    predict: Callable
+    y: np.ndarray
     predict_grid: Callable
+    row_weights: Callable
 
-    def weighted_grid_sum(self, xq, w, order=0):
-        """``w @ predict_grid(xq, order)``: the ``w``-weighted sum of the
-        query rows' predictions over the whole grid."""
-        return w @ self.predict_grid(xq, order)
-
-
-@dataclass(frozen=True)
-class _LearnedOutcomeFit(SmoothedOutcomeFit):
-    """A fit from :func:`fit_smoothed_outcome`, whose learner forms the
-    weighted sum without the (queries, grid) prediction matrix."""
-
-    grid_sum: Callable
-
-    def weighted_grid_sum(self, xq, w, order=0):
-        return self.grid_sum(np.atleast_2d(np.asarray(xq, dtype=float)), w, order)
+    def predict(self, x, grid_index, order=0):
+        """One fitted value, at covariate point ``x`` and grid column ``grid_index``."""
+        block = self.predict_grid(np.atleast_2d(np.asarray(x, dtype=float)), order,
+                                  cols=[grid_index])
+        return float(block[0, 0])
 
 
-def _targets(y, grid_cols, spec, order):
-    """Target matrix ``K_h^(order)(grid_cols[j] - y_i)`` of shape (n, len(cols))."""
-    return scaled_kernel(spec, grid_cols[None, :] - y[:, None], order)
-
-
-def _ridge_stats(x, y, grid, spec):
-    """Sufficient statistics ``(A^T A, A^T T)`` of a ridge fit on these rows,
-    with design ``A = [1, x]`` and order-0 targets ``T = K_h(grid - y)``.
-
-    Statistics of disjoint row sets add up to those of their union.
-    """
-    a = _design(x)
-    return a.T @ a, _kernel_sums(spec, grid, y, a).T
-
-
-def _fit_ridge_outcome(subset, grid, spec, hyper, stats):
-    n, dim = subset.x.shape
+def _fit_ridge_outcome(x, y, grid, spec, hyper):
+    n, dim = x.shape
     lam = hyper.get("l2", 1e-4 * n)
-    a = _design(subset.x)
-    y = subset.y
-    gram, rhs0 = stats if stats is not None else _ridge_stats(subset.x, y, grid, spec)
+    a = _design(x)
     pen = np.zeros(dim + 1)
     pen[1:] = lam
-    chol = cho_factor(gram + np.diag(pen), lower=True)
-    # Order 0 is read over the whole grid; orders 1 and 2 mostly at a few
-    # columns, so they are solved on demand for the requested columns.
-    coef0 = cho_solve(chol, rhs0)
-
-    def coef_for(order, cols):
-        if order == 0:
-            return coef0 if cols is None else coef0[:, cols]
-        rhs = _kernel_sums(spec, grid if cols is None else grid[cols], y, a, order).T
-        return cho_solve(chol, rhs)
+    chol = cho_factor(a.T @ a + np.diag(pen), lower=True)
 
     def predict_grid(xq, order, cols=None):
-        return _design(np.atleast_2d(np.asarray(xq, dtype=float))) @ coef_for(order, cols)
+        rhs = _kernel_sums(spec, grid if cols is None else grid[cols], y, a, order).T
+        return _design(np.atleast_2d(np.asarray(xq, dtype=float))) @ cho_solve(chol, rhs)
 
-    def grid_sum(xq, w, order):
-        return (w @ _design(xq)) @ coef_for(order, None)
+    def row_weights(xq, w):
+        return a @ cho_solve(chol, _design(np.atleast_2d(np.asarray(xq, dtype=float))).T @ w)
 
-    return predict_grid, grid_sum
+    return predict_grid, row_weights
 
 
-def _fit_knn_outcome(subset, grid, spec, hyper):
-    index = _Neighbors(subset.x, hyper)
-    y = subset.y
+def _fit_knn_outcome(x, y, grid, spec, hyper):
+    index = _Neighbors(x, hyper)
 
     def predict_grid(xq, order, cols=None):
         cols_grid = grid if cols is None else grid[cols]
-        return index.average(_targets(y, cols_grid, spec, order), xq)
+        targets = scaled_kernel(spec, cols_grid[None, :] - y[:, None], order)
+        return index.average(targets, xq)
 
-    def grid_sum(xq, w, order):
-        # Each query row spreads w / k over its neighbors; the sum then reads
-        # every training target once instead of k times per query row.
-        nb = index.neighbors(xq)
-        u = np.bincount(nb.ravel(), weights=np.repeat(w / index.k, index.k), minlength=y.size)
-        return _kernel_sums(spec, grid, y, u, order)
+    def row_weights(xq, w):
+        # Each query row spreads w / k over its neighbors.
+        nb = index.neighbors(xq).ravel()
+        u = [np.bincount(nb, weights=np.repeat(col, index.k), minlength=y.size)
+             for col in (w.reshape(w.shape[0], -1) / index.k).T]
+        return np.column_stack(u).reshape((y.size,) + w.shape[1:])
 
-    return predict_grid, grid_sum
+    return predict_grid, row_weights
 
 
 def fit_smoothed_outcome(subset: Sample, arm, grid, spec: KernelSpec,
@@ -376,15 +341,10 @@ def fit_smoothed_outcome(subset: Sample, arm, grid, spec: KernelSpec,
     """Fit the arm-restricted smoothed-outcome regressions over a grid.
 
     ``subset`` must already be restricted to the requested arm.  All grid
-    points and derivative orders share one design factorization (ridge) or
-    one neighbor structure (KNN); the targets differ, the design does not.
+    points and derivative orders share one factorization of the design's
+    Gram matrix (ridge) or one neighbor structure (KNN); the targets differ,
+    the design does not.
     """
-    return _fit_outcome(subset, arm, grid, spec, learner, hyper)
-
-
-def _fit_outcome(subset, arm, grid, spec, learner="ridge", hyper=None, stats=None):
-    """:func:`fit_smoothed_outcome`, where a ridge fit may take its
-    statistics (see :func:`_ridge_stats`) summed from parts of ``subset``."""
     hyper = dict(hyper or {})
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
@@ -394,17 +354,10 @@ def _fit_outcome(subset, arm, grid, spec, learner="ridge", hyper=None, stats=Non
     if not np.all(subset.d == arm):
         raise ValueError(f"subset must contain only arm-{arm} observations")
     if learner == "ridge":
-        predict_grid, grid_sum = _fit_ridge_outcome(subset, grid, spec, hyper, stats)
+        predict_grid, row_weights = _fit_ridge_outcome(subset.x, subset.y, grid, spec, hyper)
     elif learner == "knn":
-        predict_grid, grid_sum = _fit_knn_outcome(subset, grid, spec, hyper)
+        predict_grid, row_weights = _fit_knn_outcome(subset.x, subset.y, grid, spec, hyper)
     else:
         raise ValueError(f"unknown smoothed-outcome learner {learner!r}")
-
-    def predict(x, grid_index, order=0):
-        block = predict_grid(np.atleast_2d(np.asarray(x, dtype=float)), order, cols=[grid_index])
-        return float(block[0, 0])
-
-    return _LearnedOutcomeFit(
-        grid=grid, arm=arm, spec=spec, learner_id=learner,
-        predict=predict, predict_grid=predict_grid, grid_sum=grid_sum,
-    )
+    return SmoothedOutcomeFit(grid=grid, arm=arm, spec=spec, learner_id=learner, y=subset.y,
+                              predict_grid=predict_grid, row_weights=row_weights)

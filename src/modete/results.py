@@ -99,8 +99,9 @@ def build_result(theta1, theta0, m1_hat, m0_hat, v1_hat, v0_hat, n, h, method,
 def estimate_from_fits(fits, grid, spec, *, n, method, alpha, folds=None, fold_reseeds=0):
     """The part both routes share once each arm is fitted.
 
-    ``fits`` maps each arm to a fit with ``curve(grid, order=0)``,
-    ``value(y, order=0)`` and ``components(theta) -> (m_hat, v_hat)``.  Each
+    ``fits`` maps each arm to a :class:`~modete.density.KernelArmFit`, which
+    both routes build: the kernel route from its covariate-weight pass, the
+    cross-fitted route from its folds' score weights.  Each
     arm's order-0 curve is searched for its mode (refined with the exact
     order-0 value, with the order-1 value as the first-order-condition
     residual); the sandwich components are taken at the modes, and the

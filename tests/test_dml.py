@@ -25,18 +25,20 @@ def nw_outcome_fit(aux, arm, grid, spec):
     """Locally weighted (ratio) smoothed-outcome fit, for cross-route checks."""
     sub = aux.subset(aux.arm_indices(arm))
 
-    def predict_grid(xq, order, cols=None):
+    def weights(xq):
         xq = np.atleast_2d(np.asarray(xq, float))
-        cols_grid = grid if cols is None else grid[cols]
         w = m.product_kernel(spec, xq[:, None, :] - sub.x[None, :, :])
-        t = m.scaled_kernel(spec, cols_grid[None, :] - sub.y[:, None], order)
-        return (w @ t) / w.sum(axis=1, keepdims=True)
+        return w / w.sum(axis=1, keepdims=True)
 
-    def predict(x, j, order=0):
-        return float(predict_grid(np.atleast_2d(x), order, cols=[j])[0, 0])
+    def predict_grid(xq, order, cols=None):
+        cols_grid = grid if cols is None else grid[cols]
+        return weights(xq) @ m.scaled_kernel(spec, cols_grid[None, :] - sub.y[:, None], order)
 
-    return m.SmoothedOutcomeFit(grid=grid, arm=arm, spec=spec, learner_id="nw",
-                                predict=predict, predict_grid=predict_grid)
+    def row_weights(xq, w):
+        return weights(xq).T @ w
+
+    return m.SmoothedOutcomeFit(grid=grid, arm=arm, spec=spec, learner_id="nw", y=sub.y,
+                                predict_grid=predict_grid, row_weights=row_weights)
 
 
 def duplicated_arms_sample(n=60, seed=0):
@@ -374,22 +376,21 @@ class TestFoldSumsMatchRefits:
             assert table[i, j] == pytest.approx(m.orthogonal_score(z, grid[j], eta, arm, spec),
                                                 rel=1e-14)
 
-        theta = {1: 1.013, 0: 0.687}  # off the grid: fits interpolate between columns
+        # Off the grid, g is evaluated exactly: refits on a grid holding theta
+        # as its only column give the column that a grid holding theta would
+        # (each smoother column is fitted on its own).
+        theta = {1: 1.013, 0: 0.687}
+        assert not set(theta.values()) & set(grid)
         want = {}
         for arm, th in theta.items():
-            jj = int(np.searchsorted(grid, th)) - 1
-            t = (th - grid[jj]) / (grid[jj + 1] - grid[jj])
-
-            def g_at(fit, x, s):
-                cols = fit.predict_grid(x, s, cols=[jj, jj + 1])
-                return ((1.0 - t) * cols[:, 0] + t * cols[:, 1])[:, None]
-
-            m_hat = self.mean_score(sample, folds, spec, arm, 2, np.array([th]), g_at)[0]
+            at_theta = self.oracle(sample, part, spec, np.array([th]), learner)
+            m_hat = self.mean_score(sample, at_theta, spec, arm, 2, np.array([th]),
+                                    lambda fit, x, s: fit.predict_grid(x, s))[0]
             v_sum = 0.0
-            for idx, terms, fits in folds:
+            for idx, terms, fits in at_theta:
                 d_a, p_a, r_a = terms[arm]
                 kv = m.scaled_kernel(spec, th - sample.y[idx], 0)
-                g = g_at(fits[arm], sample.x[idx], 0)[:, 0]
+                g = fits[arm].predict_grid(sample.x[idx], 0)[:, 0]
                 v_sum += np.mean(d_a * kv / p_a ** 2 - 2.0 * r_a / p_a ** 2 * g)
             want[arm] = (m_hat, m.kernel_constants(family).kappa0_1 * v_sum / K)
         got = m.dml_variance_components(sample, part, bundle, spec, theta[1], theta[0])
@@ -401,9 +402,9 @@ LEARNERS = [("logistic", "ridge"), ("knn", "knn")]
 
 
 class TestPoolTasks:
-    """The per-fold ridge statistics, fits, propensities and mean scores run
-    on the pool's two worker threads when two cores are usable, and on the
-    calling thread otherwise; the result must not depend on it."""
+    """The folds' fits and their score weights run on the pool's two worker
+    threads when two cores are usable, and on the calling thread otherwise;
+    the result must not depend on it."""
 
     @pytest.mark.skipif(len(usable_cpus()) < 2, reason="needs at least two usable CPUs")
     @pytest.mark.parametrize("pi_learner, g_learner", LEARNERS, ids=["ridge", "knn"])

@@ -209,6 +209,26 @@ class TestFitSmoothedOutcome:
                 cols = fit.predict_grid(xq, order, cols=[3, 9])
                 assert np.allclose(full[:, [3, 9]], cols, atol=1e-12)
 
+    @pytest.mark.parametrize("learner", ["ridge", "knn"])
+    def test_row_weights_reproduce_weighted_predictions(self, learner):
+        """``w @ predict_grid`` equals the ``row_weights``-weighted kernel sum
+        over the fit's own outcomes, for every order and column, with one
+        weight column or two."""
+        rng = np.random.default_rng(14)
+        s = m.Sample(rng.normal(size=150), np.ones(150, int), rng.random((150, 2)))
+        spec = m.KernelSpec(m.GAUSSIAN, 0.5)
+        grid = np.linspace(-2, 2, 23)
+        fit = m.fit_smoothed_outcome(s, 1, grid, spec, learner=learner)
+        xq = rng.random((40, 2))
+        for w in (rng.normal(size=40), rng.normal(size=(40, 2))):
+            u = fit.row_weights(xq, w)
+            assert u.shape == (s.n,) + w.shape[1:]
+            for order in (0, 1, 2):
+                want = w.T @ fit.predict_grid(xq, order)
+                got = u.T @ m.scaled_kernel(spec, grid[None, :] - fit.y[:, None], order)
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(want)))
+
 
 def knn_oracle(x, xq, k, targets):
     """Brute-force KNN averages: covariates standardized on the training rows,

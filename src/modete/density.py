@@ -12,6 +12,7 @@ its curvature on a common footing.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections import deque
@@ -40,6 +41,19 @@ _EXP_FLOOR = -707.0
 # so they take two budgets; smaller blocks would change the bits of the weight
 # pass's sums.
 _BLOCK_BYTES = 2 * 2**20
+
+# Unit roundoff of a double, for the rounding terms of the scan's bound.
+_U = 2.0 ** -53
+
+# Lattice bins per grid step in :func:`_binned_sums`; its error bound falls as
+# the square of the bin width.
+_SCAN_BINS = 8
+
+# :func:`_binned_sums` gives up on a lattice of more than this many times
+# ``_SCAN_BINS`` bins per grid point (outcomes or kernel reach far past the
+# grid), so its buffers stay O(grid size) whatever n and h.  The default grid
+# needs at most 3.
+_SCAN_SPAN = 4
 
 
 def _reset_pool():
@@ -282,6 +296,89 @@ def _kernel_sums(spec, grid, y, w, order=0):
     return out
 
 
+def _sum_rounding(spec, y, w):
+    """Bound on the rounding of one order-0 Gaussian sum of :func:`_kernel_sums`
+    (kernel evaluation, any summation order over ``y.size`` terms, and a
+    division by the fit size): ``(y.size + 32) * u * sum(|w|) / (sqrt(2 pi) h)``,
+    with ``u = 2**-53`` (``_U``)."""
+    return (y.size + 32) * _U * float(np.abs(w).sum()) / (_SQRT_2PI * spec.h)
+
+
+def _binned_sums(spec, grid, y, w):
+    """Order-0 Gaussian sums ``K_h(grid[:, None] - y) @ w`` from a binned scan
+    in O(n + G log G), with a bound: ``(sums, eps)``, each sum within ``eps``
+    of :func:`_kernel_sums`'s, or None where the scan does not apply (another
+    family, ``w`` with columns, non-finite input, a grid that is not uniform,
+    or a lattice of more than ``_SCAN_SPAN`` times ``_SCAN_BINS * G`` bins).
+
+    The weights are binned linearly onto a lattice of ``_SCAN_BINS`` bins of
+    width ``delta`` per grid step, on which the grid points lie, and convolved
+    by FFT with the kernel sampled on the lattice.  The kernel table reaches
+    the farthest outcome from the grid, but not past the ``_EXP_FLOOR``
+    cut-off (37.6 h); outcomes beyond the cut-off from every grid point, whose
+    kernels :func:`_kernel_sums` sets to 0, are left out.  With
+    ``S = sum(|w|)``, ``K0 = 1 / (sqrt(2 pi) h)`` and ``u = 2**-53``, ``eps``
+    is the sum of:
+
+    * binning, ``S * delta**2 / (8 sqrt(2 pi) h**3)``: linear interpolation
+      between two bins moves a kernel by at most ``delta**2 / 8`` times
+      ``max|K_h''| = K0 / h**2``;
+    * the lattice, ``S * max|K_h'|`` (``= S K0 exp(-1/2) / h``) times the
+      grid's largest deviation from the lattice plus ``8 u`` times the
+      lattice's extent from 0, which bounds the rounding of the bin positions;
+    * FFT rounding, ``32 log2(L) u * S * sum(table)`` for transforms of
+      length ``L``, a generous form of the bound for an FFT convolution
+      (Higham 2002, sec. 24.1) that also covers the rounding of the table
+      and of the bin weights;
+    * the cut-off, ``2 S K0 exp(_EXP_FLOOR)``, for a kernel zeroed on one
+      side of it and not on the other;
+    * twice :func:`_sum_rounding`, the rounding of the sums compared with.
+    """
+    if (spec.family != GAUSSIAN or grid.ndim != 1 or grid.size < 3 or w.ndim != 1
+            or y.size == 0 or not (np.isfinite(grid).all() and np.isfinite(y).all()
+                                   and np.isfinite(w).all())):
+        return None
+    lo, hi, h = float(grid[0]), float(grid[-1]), spec.h
+    step = (hi - lo) / (grid.size - 1)
+    delta = step / _SCAN_BINS
+    cells = _SCAN_BINS * (grid.size - 1)
+    reach = min(max(hi - y.min(), y.max() - lo), math.sqrt(-2.0 * _EXP_FLOOR) * h)
+    if not (delta > 0 and cells + 2 * reach / delta + 5 <= _SCAN_SPAN * _SCAN_BINS * grid.size):
+        return None
+    dev = float(np.abs(grid - (lo + np.arange(grid.size) * step)).max())
+    if dev > 1e-6 * delta:
+        return None
+    # Imported on first use: it would add 1.5 ms to the package's import.
+    from numpy.fft import irfft, rfft
+
+    # Lattice bin q lies at lo + (q - half) * delta, so grid point i is bin
+    # half + _SCAN_BINS * i; the table reaches half bins each way.
+    half = int(reach / delta) + 2
+    bins = cells + 2 * half + 1
+    pos = (y - lo) / delta
+    keep = (pos >= 1 - half) & (pos <= cells + half - 1)
+    pos, wk = pos[keep], w[keep]
+    low = np.floor(pos)
+    at = low.astype(np.intp) + half
+    upper = wk * (pos - low)
+    binned = np.bincount(at, wk - upper, bins)
+    binned[1:] += np.bincount(at, upper, bins - 1)
+    # The convolution is circular; with a length of at least ``bins`` no lag
+    # between a grid point and a bin wraps onto a lag the table covers.
+    size = 1 << (bins - 1).bit_length()
+    kern = _kernel_sums(spec, np.arange(half + 1) * delta, np.zeros(1), np.ones(1))
+    table = np.zeros(size)
+    table[:half + 1] = kern
+    table[size - half:] = kern[:0:-1]
+    sums = irfft(rfft(binned, size) * rfft(table), size)[half:half + cells + 1:_SCAN_BINS].copy()
+    s, k0 = float(np.abs(w).sum()), 1.0 / (_SQRT_2PI * h)
+    eps = s * (k0 * delta * delta / (8.0 * h * h)
+               + k0 * math.exp(-0.5) / h * (dev + 8 * _U * (abs(lo) + abs(hi) + half * delta))
+               + 32 * math.log2(size) * _U * float(table.sum())
+               + 2 * k0 * math.exp(_EXP_FLOOR)) + 2 * _sum_rounding(spec, y, w)
+    return sums, eps
+
+
 @dataclass(frozen=True, eq=False)
 class KernelArmFit:
     """One arm's fit on either route: curve weights over the arm's outcomes.
@@ -294,6 +391,12 @@ class KernelArmFit:
     its weights are the fold-averaged orthogonal score's.
     :func:`marginal_arm_fit` leaves ``c_var`` None, so such a fit has no
     :meth:`components`.
+
+    :meth:`curve` sums exactly.  The mode search scans the order-0 curve on
+    a uniform grid instead (:func:`_scan_curve`): its values lie within
+    ``eps = sum(|c|) * delta**2 / (8 sqrt(2 pi) h**3) / n``, plus the rounding
+    terms of :func:`_binned_sums`, of :meth:`curve`'s, with ``delta`` an
+    eighth of the grid step, and its grid argmax is :meth:`curve`'s.
     """
 
     y: np.ndarray
@@ -316,6 +419,37 @@ class KernelArmFit:
         kappa0_1 = kernel_constants(self.spec.family).kappa0_1
         v_sum = float(np.dot(scaled_kernel(self.spec, theta - self.y, 0), self.c_var)) / self.n
         return self.value(theta, 2), kappa0_1 * v_sum
+
+
+def _scan_curve(fit: KernelArmFit, grid):
+    """``fit``'s order-0 curve on ``grid`` for the mode search: within
+    ``eps / n`` of ``fit.curve(grid)`` (:func:`_binned_sums`), with the same
+    first maximum, at the same grid point.
+
+    Only a grid point whose scanned value is within ``2 eps`` of the scan's
+    maximum (a candidate) can hold the maximum of ``fit.curve(grid)``, so the
+    candidates' values are replaced by exact sums over their own rows.  Those
+    can differ from ``fit.curve(grid)``'s, summed over whole chunks of grid
+    points, in the last bits; when more than one candidate lies within
+    ``4 rho`` (:func:`_sum_rounding`) of the largest, so that this could
+    decide the maximum, their whole chunks are summed again, which gives
+    ``fit.curve(grid)``'s bits.  Where the scan does not apply, this is
+    ``fit.curve(grid)``.
+    """
+    scan = _binned_sums(fit.spec, grid, fit.y, fit.c)
+    if scan is None:
+        return fit.curve(grid)
+    sums, eps = scan
+    values = sums / fit.n
+    cand = np.flatnonzero(values >= values.max() - 2 * eps / fit.n)
+    exact = fit.curve(grid[cand])
+    values[cand] = exact
+    near = cand[exact >= exact.max() - 4 * _sum_rounding(fit.spec, fit.y, fit.c) / fit.n]
+    if near.size > 1:
+        step = _block_rows(fit.y.size)
+        for start in np.unique(near // step) * step:
+            values[start:start + step] = fit.curve(grid[start:start + step])
+    return values
 
 
 def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):

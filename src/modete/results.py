@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 
-from .density import DensityCurve
+from .density import DensityCurve, _scan_curve
 from .modes import curve_shape_flags, mode_of_curve
 
 
@@ -106,10 +106,19 @@ def estimate_from_fits(fits, grid, spec, *, n, method, alpha, folds=None, fold_r
     order-0 value, with the order-1 value as the first-order-condition
     residual); the sandwich components are taken at the modes, and the
     curves' shape flags go into the diagnostics.
+
+    On a uniform grid with the Gaussian kernel the curves come from the
+    binned scan (:func:`~modete.density._scan_curve`): each stored value is
+    within ``eps = sum(|c|) * delta**2 / (8 sqrt(2 pi) h**3) / n`` (plus
+    rounding terms; ``delta`` is an eighth of the grid step) of
+    ``fit.curve(grid)``, and the grid argmax is the exact curve's, so the
+    modes, components and intervals are too; a flag read from the curves
+    can differ only where a value lies within ``eps`` of its threshold.
     """
     curves, theta = {}, {}
     for arm, fit in fits.items():
-        curves[arm] = DensityCurve(grid=grid, values=fit.curve(grid), arm=arm, order=0, spec=spec)
+        curves[arm] = DensityCurve(grid=grid, values=_scan_curve(fit, grid), arm=arm, order=0,
+                                   spec=spec)
         theta[arm] = mode_of_curve(curves[arm], fit.value, lambda yq, f=fit: f.value(yq, 1)).theta
     (m1, v1), (m0, v0) = fits[1].components(theta[1]), fits[0].components(theta[0])
     flags = curve_shape_flags(curves[1].values) + curve_shape_flags(curves[0].values)

@@ -226,8 +226,8 @@ class TestEstimateDmlMTE:
         assert np.array_equal(a.curve0.values, b.curve0.values)
 
     def test_fold_relabeling_is_invisible(self):
-        """Bit-equal under relabeling; at K = 5 each auxiliary fit sums four
-        folds' statistics, so the order of that sum is exercised too."""
+        """Bit-equal under relabeling; at K = 5 the folds' score weights are
+        merged from five folds, so the order of that merge is exercised too."""
         s = duplicated_arms_sample(n=45, seed=10)
         spec = m.KernelSpec(m.GAUSSIAN, 0.4)
         grid = np.linspace(0.05, 4.5, 65)

@@ -5,6 +5,7 @@ import multiprocessing
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -395,3 +396,122 @@ def test_robust_scale_uses_min_of_sd_and_iqr():
     assert m.robust_scale(y) == min(sd, (q75 - q25) / 1.349)
     with pytest.raises(ValueError):
         m.robust_scale(np.full(10, 3.0))
+
+
+def _estimate_with_fits(monkeypatch, route, sample, h=None, grid=None):
+    """The estimate of ``route``, and the ``(fit, grid)`` of each arm whose
+    order-0 curve the shared driver scanned, arm 1 first."""
+    from modete import results
+
+    seen, scan = [], results._scan_curve
+
+    def record(fit, grid):
+        seen.append((fit, grid))
+        return scan(fit, grid)
+
+    monkeypatch.setattr(results, "_scan_curve", record)
+    if route == "kernel":
+        spec = None if h is None else m.KernelSpec(m.GAUSSIAN, h)
+        res = m.estimate_kernel_mte(sample, spec, grid=grid)
+    else:
+        res = m.estimate_dml_mte(sample, m.DMLConfig(bandwidth=h, grid=grid))
+    return res, seen
+
+
+def _exact_mode(fit, grid):
+    """The mode search on the exact curve, as ``test_acceptance.kernel_theta1``
+    runs it."""
+    curve = m.DensityCurve(grid, fit.curve(grid), 1, 0, fit.spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", m.CurveShapeWarning)
+        return m.mode_of_curve(curve, evaluate=fit.value)
+
+
+class TestCertifiedScan:
+    """The driver scans each arm's order-0 curve on a uniform grid by binning
+    (``density._binned_sums``); the scan stays within its bound ``eps`` of
+    the exact curve, and the mode search still sees the exact grid argmax."""
+
+    @pytest.mark.parametrize("h", [None, 0.1, 2.0])
+    @pytest.mark.parametrize("n", [300, 2000, 16_000])
+    @pytest.mark.parametrize("route", ["kernel", "dml"])
+    def test_scan_is_within_its_bound(self, monkeypatch, route, n, h, lognormal_selection):
+        from modete.density import _binned_sums
+
+        sample = m.generate(lognormal_selection, n, seed=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", m.CurveShapeWarning)
+            res, seen = _estimate_with_fits(monkeypatch, route, sample, h=h)
+        assert len(seen) == 2
+        for (fit, grid), curve, theta in zip(seen, (res.curve1, res.curve0),
+                                             (res.theta1, res.theta0)):
+            exact = fit.curve(grid)
+            sums, eps = _binned_sums(fit.spec, grid, fit.y, fit.c)
+            assert np.abs(sums / fit.n - exact).max() <= eps / fit.n
+            assert sums[np.argmax(exact)] >= sums.max() - 2 * eps  # a candidate
+            assert np.abs(curve.values - exact).max() <= eps / fit.n
+            loc = _exact_mode(fit, grid)
+            assert np.argmax(curve.values) == loc.grid_index
+            assert theta == loc.theta
+
+    @pytest.mark.parametrize("stretch", [1.0, 1.0 + 1e-9])
+    def test_near_tie_keeps_the_exact_argmax(self, stretch):
+        """Both arms are mirrored about 0, covariates included, and arm 1 has
+        two peaks, equal but for rounding, or with one side stretched by
+        1e-9, which moves its peak by about 1e-10 of its height: more than
+        rounding, far less than ``eps``.  Both peaks are
+        candidates, and the estimate's grid argmax and mode are the exact
+        curve's.  Summed over its own row, a candidate can differ from the
+        exact curve in the last bits, which would break the mirrored tie the
+        wrong way for about half of these seeds."""
+        from modete.density import _binned_sums
+
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            half, other = rng.normal(1.5, 0.4, 300), rng.normal(0.0, 1.0, 20)
+            x, x_other = rng.random((300, 1)), rng.random((20, 1))
+            sample = m.Sample(np.concatenate([other, -other, half * stretch, -half]),
+                              np.r_[np.zeros(40, int), np.ones(600, int)],
+                              np.vstack([x_other, x_other, x, x]))
+            std, _ = m.standardize_covariates(sample)
+            spec = m.KernelSpec(m.GAUSSIAN, m.default_bandwidth(
+                sample.n, 1, "kernel", m.robust_scale(sample.y)))
+            grid = m.default_grid(std.y, spec.h)
+            fit = m.marginal_arm_fit(std, 1, spec)
+            exact = fit.curve(grid)
+            sums, eps = _binned_sums(spec, grid, fit.y, fit.c)
+            top = int(np.argmax(exact))
+            peaks = [top, grid.size - 1 - top]
+            assert np.all(sums[peaks] >= sums.max() - 2 * eps)
+            gap = exact[top] - exact[peaks[1]]
+            if stretch == 1.0:
+                assert gap <= 1e-14 * exact[top]
+            else:
+                assert 1e-12 * exact[top] < gap < eps / fit.n
+            with pytest.warns(m.CurveShapeWarning, match="competing"):
+                res = m.estimate_kernel_mte(sample)
+            loc = _exact_mode(fit, grid)
+            assert np.argmax(res.curve1.values) == loc.grid_index
+            assert res.theta1 == loc.theta
+
+    @pytest.mark.parametrize("route", ["kernel", "dml"])
+    def test_lattice_beyond_its_limit_takes_the_exact_sums(self, monkeypatch, route,
+                                                           lognormal_plain):
+        """A grid step of 2e-6 against outcomes spread over several units and
+        h = 100 would take a lattice of some 10^8 bins; the scan declines it,
+        so the estimate stays within a few MiB and equals the exact path's."""
+        sample = m.generate(lognormal_plain, 400, seed=8)
+        grid = np.linspace(0.0, 1e-3, 512)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", m.CurveShapeWarning)
+                res, seen = _estimate_with_fits(monkeypatch, route, sample, h=100.0, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        for (fit, g), curve, theta in zip(seen, (res.curve1, res.curve0),
+                                          (res.theta1, res.theta0)):
+            assert np.array_equal(curve.values, fit.curve(g))
+            assert theta == _exact_mode(fit, g).theta

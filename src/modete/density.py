@@ -180,14 +180,26 @@ def _block_rows(n):
 _AHEAD = 8
 
 
+# Set by the initializer of the Monte Carlo worker processes
+# (:func:`simulation.run_monte_carlo`), which already run one replication per
+# core: every map in them runs on the calling thread.
+_inline = False
+
+
+def _cores():
+    """Cores in this process's affinity mask."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cores or 1
+
+
 def _threads(items):
     """Threads for a map over ``items`` items: the pool's two workers when
     there is more than one item and at least two cores are usable, otherwise
-    the calling thread alone."""
-    if items < 2:
+    the calling thread alone.  In a Monte Carlo worker process (``_inline``)
+    it is always the calling thread."""
+    if items < 2 or _inline:
         return 1
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return 2 if (cores or 1) > 1 else 1
+    return 2 if _cores() > 1 else 1
 
 
 def _in_order(fn, items, threads=None):

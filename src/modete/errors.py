@@ -4,6 +4,18 @@
 class EstimationError(Exception):
     """Base class for failures raised while fitting or evaluating estimators."""
 
+    def __reduce__(self):
+        # Pickle the message and the fields, not the constructor's arguments,
+        # which differ from the message in the subclasses that format one.
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, fields):
+    exc = cls.__new__(cls)
+    exc.args = args
+    exc.__dict__.update(fields)
+    return exc
+
 
 class DegenerateLocalityError(EstimationError):
     """A query point carries no effective kernel mass in the requested arm.

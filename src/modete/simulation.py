@@ -9,13 +9,18 @@ lognormal, or a normal mixture) whose marginals must be unimodal.
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import math
+import os
+import sys
+import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
+from . import density
 from .density import Sample
 from .dml import DMLConfig, OracleNuisance, estimate_dml_mte
 from .errors import EstimationError, MonteCarloError, UnimodalityViolationError
@@ -422,12 +427,139 @@ def _summaries(values, truth, ci_los, ci_his):
     )
 
 
+def _replicate(dgp, n, method, config, seed, rep):
+    """One generate-estimate cycle: ``(record, failure, warned)``.
+
+    ``record`` is the replication's ``per_rep`` entry, or None when the
+    estimator raised an :class:`EstimationError`, whose ``(rep, message)`` is
+    then ``failure``.  ``warned`` holds the ``(category, message)`` of every
+    warning the cycle raised, in order, for the caller to re-emit.
+    """
+    rep_seed = _mix_seed(seed, rep)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sample = generate(dgp, n, rep_seed)
+        try:
+            res = _estimate(method, sample, config, rep_seed)
+        except EstimationError as exc:
+            res, failure = None, (rep, str(exc))
+    warned = [(w.category, str(w.message)) for w in caught]
+    if res is None:
+        return None, failure, warned
+    record = {
+        "rep": rep,
+        "seed": rep_seed,
+        "theta1": res.theta1,
+        "theta0": res.theta0,
+        "delta": res.delta,
+        "se1": res.se1,
+        "se0": res.se0,
+        "se_delta": res.se_delta,
+        "ci1": list(res.ci1),
+        "ci0": list(res.ci0),
+        "ci_delta": list(res.ci_delta),
+        "h": res.h,
+    }
+    return record, None, warned
+
+
+# The worker processes of :func:`_replications`, forked on first use, and the
+# functions and classes bound in the package's modules when they forked.
+_procs = None
+_procs_code = None
+
+
+def _drop_pool():
+    global _procs, _procs_code
+    _procs = _procs_code = None
+
+
+def _stop_pool():
+    # Stop the workers while the modules are intact: a pool collected in the
+    # interpreter's teardown reports an error from its exit callback.
+    if _procs is not None:
+        _procs.shutdown(wait=True)
+    _drop_pool()
+
+
+atexit.register(_stop_pool)
+if hasattr(os, "register_at_fork"):
+    # A forked child cannot use its parent's workers: their manager thread
+    # stays behind in the parent.
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _workers():
+    """Worker processes for a study: one per usable core; or the calling
+    process alone where processes cannot be forked, and in any process that
+    :mod:`multiprocessing` started, this pool's workers included: it ends
+    without the exit hook that stops a pool's workers, and would wait for
+    them forever."""
+    if not hasattr(os, "fork"):
+        return 1
+    import multiprocessing
+
+    return 1 if multiprocessing.parent_process() is not None else density._cores()
+
+
+def _start_worker():
+    density._inline = True
+
+
+def _process_pool():
+    """The worker pool, forked on first use; None when one of the package's
+    functions has been rebound since the fork (by a tracer, or a test's
+    stub), because the workers would not run the new one."""
+    global _procs, _procs_code
+    if _procs is None:
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        # Fork a single-threaded process: stop the lane pool's idle threads,
+        # which it restarts on its next submit.
+        density._pool.shutdown(wait=True)
+        density._reset_pool()
+        _procs = ProcessPoolExecutor(_workers(), mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_start_worker)
+        package = __name__.rpartition(".")[0]
+        _procs_code = {(name, key): value
+                       for name, module in list(sys.modules.items())
+                       if name == package or name.startswith(package + ".")
+                       for key, value in vars(module).items() if callable(value)}
+    same = all(getattr(sys.modules.get(name), key, None) is value
+               for (name, key), value in _procs_code.items())
+    return _procs if same else None
+
+
+def _replications(task, reps):
+    """Yield ``task(rep)`` for each replication, in order: on the worker
+    processes when at least two cores are usable and they run the caller's
+    code, otherwise on the calling process.  A worker runs whole
+    replications with its maps inline, so the results are bit-identical
+    either way.  A broken pool is dropped, and the next study forks a new
+    one."""
+    pool = _process_pool() if _workers() > 1 else None
+    if pool is None:
+        yield from map(task, range(reps))
+        return
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        yield from pool.map(task, range(reps))
+    except BrokenProcessPool:
+        _drop_pool()
+        raise
+
+
 def run_monte_carlo(dgp: DGPSpec, n, reps, method, config=None, seed=0) -> MonteCarloReport:
     """Run ``reps`` generate-estimate cycles and aggregate the results.
 
     Per-rep seeds derive deterministically from ``seed``; individual failing
     replications are recorded and excluded, but more than 10% failures raise
-    :class:`MonteCarloError`.
+    :class:`MonteCarloError`.  Replications run one per usable core, in
+    worker processes; records, failures and the replications' warnings
+    (re-emitted here) come back in replication order, so the report is the
+    same as on one core.
     """
     if reps < 2:
         raise ValueError(f"need reps >= 2, got {reps}")
@@ -438,28 +570,14 @@ def run_monte_carlo(dgp: DGPSpec, n, reps, method, config=None, seed=0) -> Monte
     }
     records = []
     failures = []
-    for rep in range(reps):
-        rep_seed = _mix_seed(seed, rep)
-        sample = generate(dgp, n, rep_seed)
-        try:
-            res = _estimate(method, sample, config, rep_seed)
-        except EstimationError as exc:
-            failures.append((rep, str(exc)))
-            continue
-        records.append({
-            "rep": rep,
-            "seed": rep_seed,
-            "theta1": res.theta1,
-            "theta0": res.theta0,
-            "delta": res.delta,
-            "se1": res.se1,
-            "se0": res.se0,
-            "se_delta": res.se_delta,
-            "ci1": list(res.ci1),
-            "ci0": list(res.ci0),
-            "ci_delta": list(res.ci_delta),
-            "h": res.h,
-        })
+    task = partial(_replicate, dgp, n, method, config, seed)
+    for record, failure, warned in _replications(task, reps):
+        for category, message in warned:
+            warnings.warn(message, category, stacklevel=2)
+        if failure is None:
+            records.append(record)
+        else:
+            failures.append(failure)
     if len(failures) > 0.1 * reps:
         raise MonteCarloError(
             f"{len(failures)} of {reps} replications failed; first: {failures[0][1]}"

@@ -1,12 +1,22 @@
 """DGPs, oracle modes, and the Monte Carlo harness."""
 
+import json
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import modete as m
 import modete.simulation as sim
+from conftest import usable_cpus
 
 
 class TestGenerate:
@@ -141,6 +151,8 @@ class TestRunMonteCarlo:
         assert hits >= 19
 
     def test_failure_threshold(self, lognormal_plain, monkeypatch):
+        # The counter lives in this process: keep the replications in it.
+        monkeypatch.setattr(sim, "_workers", lambda: 1)
         real = sim.estimate_kernel_mte
         calls = {"i": 0}
 
@@ -155,6 +167,8 @@ class TestRunMonteCarlo:
             m.run_monte_carlo(lognormal_plain, 200, 9, "kernel", seed=1)
 
     def test_isolated_failures_recorded(self, lognormal_plain, monkeypatch):
+        # The counter lives in this process: keep the replications in it.
+        monkeypatch.setattr(sim, "_workers", lambda: 1)
         real = sim.estimate_kernel_mte
         calls = {"i": 0}
 
@@ -173,6 +187,159 @@ class TestRunMonteCarlo:
     def test_rejects_single_rep(self, lognormal_plain):
         with pytest.raises(ValueError):
             m.run_monte_carlo(lognormal_plain, 100, 1, "kernel")
+
+
+_RIDGE = {"folds": 5, "pi_learner": "logistic", "g_learner": "ridge"}
+
+# (dgp, n, reps, method, config, seed)
+_STUDIES = [
+    ("lognormal-plain", 300, 6, "kernel", None, 3),
+    ("lognormal-selection", 400, 6, "dml", _RIDGE, 4),
+    # At n = 6 one replication in 30 draws a single arm and fails...
+    ("lognormal-plain", 6, 30, "kernel", None, 1),
+    # ... and on the cross-fitted route too many do.
+    ("lognormal-plain", 6, 30, "dml", None, 1),
+]
+
+
+def _run_studies():
+    """Each of ``_STUDIES`` as the text of its report, or of its MonteCarloError."""
+    dgps = m.builtin_dgps()
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for dgp, n, reps, method, config, seed in _STUDIES:
+            try:
+                report = m.run_monte_carlo(dgps[dgp], n, reps, method, config=config, seed=seed)
+            except m.MonteCarloError as exc:
+                out.append(f"MonteCarloError: {exc}")
+            else:
+                out.append(json.dumps(report.to_dict()))
+    return out
+
+
+def _run_studies_on_one_core(cpu):
+    """``_run_studies`` in a fresh interpreter that cuts its affinity to ``cpu``
+    before anything is imported."""
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(m.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (f"import json, os, sys; os.sched_setaffinity(0, {{{cpu}}}); "
+            f"sys.path.insert(0, {tests!r}); import test_simulation as t; "
+            "print(json.dumps(t._run_studies()))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=dict(os.environ, PYTHONPATH=path), check=True)
+    return json.loads(proc.stdout)
+
+
+def _study_in_child(dgp, queue):
+    report = m.run_monte_carlo(dgp, 200, 4, "kernel", seed=9)
+    queue.put((sim._procs is None, json.dumps(report.to_dict())))
+
+
+needs_two_cpus = pytest.mark.skipif(len(usable_cpus()) < 2, reason="needs at least two usable CPUs")
+
+
+class TestWorkerProcesses:
+    """Replications run on one worker process per usable core, and on the
+    calling process when only one is usable; nothing in the report may
+    depend on it."""
+
+    @needs_two_cpus
+    def test_reports_identical_on_one_core(self):
+        pooled = _run_studies()
+        assert sim._procs is not None
+        assert json.loads(pooled[2])["failures"]
+        assert pooled[3].startswith("MonteCarloError: ")
+        assert pooled == _run_studies_on_one_core(min(usable_cpus()))
+
+    def test_replication_warnings_reach_the_caller(self, dgps):
+        # The kernel route's bandwidth rule warns once per estimate for d = 2.
+        with pytest.warns(m.RateConditionWarning) as record:
+            m.run_monte_carlo(dgps["skew-mixture"], 300, 4, "kernel", seed=5)
+        assert sum(w.category is m.RateConditionWarning for w in record) == 4
+
+    @needs_two_cpus
+    def test_broken_pool_is_replaced(self, lognormal_plain):
+        from concurrent.futures.process import BrokenProcessPool
+
+        want = m.run_monte_carlo(lognormal_plain, 200, 4, "kernel", seed=9).to_dict()
+        pool = sim._procs
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 60
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with pytest.raises(BrokenProcessPool):
+            m.run_monte_carlo(lognormal_plain, 200, 4, "kernel", seed=9)
+        assert sim._procs is None
+        assert m.run_monte_carlo(lognormal_plain, 200, 4, "kernel", seed=9).to_dict() == want
+
+    @needs_two_cpus
+    def test_function_rebound_after_the_fork_runs_here(self, lognormal_plain, monkeypatch):
+        """The workers do not have a stub (or a tracer's wrapper) bound after
+        they were forked, so the replications then run in this process."""
+        m.run_monte_carlo(lognormal_plain, 200, 2, "kernel", seed=9)
+        assert sim._procs is not None
+        real = sim.estimate_kernel_mte
+        calls = []
+
+        def counted(sample, *args, **kwargs):
+            calls.append(sample.n)
+            return real(sample, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "estimate_kernel_mte", counted)
+        m.run_monte_carlo(lognormal_plain, 200, 4, "kernel", seed=9)
+        assert calls == [200] * 4
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_forked_child_runs_replications_itself(self, lognormal_plain):
+        """A child that multiprocessing forks after the parent's workers
+        started drops them and runs the replications itself (it would hang
+        at exit waiting for workers of its own); it finishes, and its report
+        equals the parent's."""
+        want = json.dumps(m.run_monte_carlo(lognormal_plain, 200, 4, "kernel", seed=9).to_dict())
+        ctx = multiprocessing.get_context("fork")
+        for daemon in (False, True):
+            queue = ctx.Queue()
+            child = ctx.Process(target=_study_in_child, args=(lognormal_plain, queue),
+                                daemon=daemon)
+            child.start()
+            try:
+                assert queue.get(timeout=120) == (True, want)
+            finally:
+                child.join(timeout=60)
+            assert child.exitcode == 0
+
+
+_ERRORS = [
+    (m.EstimationError, ("plain message",), {}),
+    (m.DegenerateLocalityError, (1, [0.5, 0.25], 3), {"arm": 1, "x": [0.5, 0.25], "index": 3}),
+    (m.DegenerateLocalityError, (0, 2.0), {"arm": 0, "x": 2.0, "index": None}),
+    (m.ConstantCovariateError, (2,), {"column": 2}),
+    (m.NoOverlapError, ("one arm",), {}),
+    (m.NoDataError, ("empty",), {}),
+    (m.ConvergenceError, ("logistic fit stalled", 50), {"iterations": 50}),
+    (m.InvalidCurveError, ("nan",), {}),
+    (m.UnimodalityViolationError, ("two peaks",), {}),
+    (m.ConfigurationError, ("mismatch",), {}),
+    (m.StratificationError, ("no arm",), {}),
+    (m.MonteCarloError, ("too many",), {}),
+    (m.CurveShapeWarning, ("flat",), {}),
+    (m.RateConditionWarning, ("d = 2",), {}),
+]
+
+
+@pytest.mark.parametrize("cls, args, fields", _ERRORS, ids=[c.__name__ for c, _, _ in _ERRORS])
+def test_errors_survive_pickling(cls, args, fields):
+    """Errors cross from a worker process to the caller by pickle."""
+    import pickle
+
+    exc = cls(*args)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc)
+    assert {k: getattr(back, k) for k in fields} == fields
 
 
 def test_skew_mixture_is_unimodal_and_generates(dgps):

@@ -14,22 +14,20 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
 from .density import Sample
 from .errors import EstimationError
 from .kernels import DML_METHOD, EPANECHNIKOV, GAUSSIAN, KERNEL_METHOD
-from .results import MTEResult
+from .results import SCHEMA_VERSION, MTEResult
 from .simulation import _estimate, builtin_dgps, run_monte_carlo
 
 EXIT_OK = 0
 EXIT_ESTIMATION = 2
 EXIT_IO = 3
 EXIT_USAGE = 64
-
-SCHEMA_VERSION = "1"
 
 
 class CsvFormatError(Exception):
@@ -112,7 +110,12 @@ def _parse_treatment(path, row, row_no, col, pos):
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """JSON-stable view of an estimation result."""
+    """JSON-stable view of an estimation result.
+
+    The fields' order is the document's key order; ``diagnostics`` holds the
+    fields of :class:`~modete.results.Diagnostics`, and ``folds`` is left out
+    of the document when it is None.
+    """
 
     schema_version: str
     method: str
@@ -129,52 +132,25 @@ class ResultRecord:
 
     @classmethod
     def from_result(cls, result: MTEResult, timing_ms):
+        def pick(*names):
+            return {name: getattr(result, name) for name in names}
+
         return cls(
             schema_version=SCHEMA_VERSION,
-            method=result.method,
-            n=result.n,
-            h=result.h,
-            family=result.family,
-            estimates={"theta1": result.theta1, "theta0": result.theta0, "delta": result.delta},
-            ses={"se1": result.se1, "se0": result.se0, "se_delta": result.se_delta},
-            cis={
-                "ci1": list(result.ci1),
-                "ci0": list(result.ci0),
-                "ci_delta": list(result.ci_delta),
-            },
-            components={
-                "m1_hat": result.m1_hat,
-                "m0_hat": result.m0_hat,
-                "v1_hat": result.v1_hat,
-                "v0_hat": result.v0_hat,
-            },
-            diagnostics={
-                "flat_curve": result.diagnostics.flat_curve,
-                "mode_at_grid_edge": result.diagnostics.mode_at_grid_edge,
-                "m_hat_sign": result.diagnostics.m_hat_sign,
-                "fold_reseeds": result.diagnostics.fold_reseeds,
-                "warnings": list(result.diagnostics.warnings),
-            },
+            **pick("method", "n", "h", "family", "folds"),
+            estimates=pick("theta1", "theta0", "delta"),
+            ses=pick("se1", "se0", "se_delta"),
+            cis={name: list(ci) for name, ci in pick("ci1", "ci0", "ci_delta").items()},
+            components=pick("m1_hat", "m0_hat", "v1_hat", "v0_hat"),
+            diagnostics={**asdict(result.diagnostics),
+                         "warnings": list(result.diagnostics.warnings)},
             timing_ms=float(timing_ms),
-            folds=result.folds,
         )
 
     def to_dict(self):
-        out = {
-            "schema_version": self.schema_version,
-            "method": self.method,
-            "n": self.n,
-            "h": self.h,
-            "family": self.family,
-            "estimates": dict(self.estimates),
-            "ses": dict(self.ses),
-            "cis": {k: list(v) for k, v in self.cis.items()},
-            "components": dict(self.components),
-            "diagnostics": dict(self.diagnostics),
-            "timing_ms": self.timing_ms,
-        }
-        if self.folds is not None:
-            out["folds"] = self.folds
+        out = asdict(self)
+        if self.folds is None:
+            del out["folds"]
         return out
 
     def to_json(self):
@@ -182,55 +158,25 @@ class ResultRecord:
 
     @classmethod
     def from_json(cls, text):
-        """Parse a record, ignoring unknown fields for forward compatibility."""
+        """Parse a record: a missing field raises :class:`KeyError`, except
+        ``folds``; unknown fields are ignored for forward compatibility."""
         raw = json.loads(text)
-        return cls(
-            schema_version=raw["schema_version"],
-            method=raw["method"],
-            n=raw["n"],
-            h=raw["h"],
-            family=raw["family"],
-            estimates=raw["estimates"],
-            ses=raw["ses"],
-            cis=raw["cis"],
-            components=raw["components"],
-            diagnostics=raw["diagnostics"],
-            timing_ms=raw["timing_ms"],
-            folds=raw.get("folds"),
-        )
+        return cls(**{f.name: raw[f.name] for f in fields(cls)
+                      if f.name in raw or f.default is MISSING})
 
 
 def _format_table(record: ResultRecord):
-    rows = [
-        ("method", record.method),
-        ("n", record.n),
-        ("h", f"{record.h:.6g}"),
-        ("family", record.family),
-    ]
+    rows = [("method", record.method), ("n", record.n), ("h", f"{record.h:.6g}"),
+            ("family", record.family)]
     if record.folds is not None:
         rows.append(("folds", record.folds))
-    rows += [
-        ("theta1", f"{record.estimates['theta1']:.6g}"),
-        ("theta0", f"{record.estimates['theta0']:.6g}"),
-        ("delta", f"{record.estimates['delta']:.6g}"),
-        ("se1", f"{record.ses['se1']:.6g}"),
-        ("se0", f"{record.ses['se0']:.6g}"),
-        ("se_delta", f"{record.ses['se_delta']:.6g}"),
-        ("ci1", _fmt_ci(record.cis["ci1"])),
-        ("ci0", _fmt_ci(record.cis["ci0"])),
-        ("ci_delta", _fmt_ci(record.cis["ci_delta"])),
-        ("m1_hat", f"{record.components['m1_hat']:.6g}"),
-        ("m0_hat", f"{record.components['m0_hat']:.6g}"),
-        ("v1_hat", f"{record.components['v1_hat']:.6g}"),
-        ("v0_hat", f"{record.components['v0_hat']:.6g}"),
-        ("timing_ms", f"{record.timing_ms:.1f}"),
-    ]
+    for name, value in {**record.estimates, **record.ses, **record.cis,
+                        **record.components}.items():
+        rows.append((name, f"[{value[0]:.6g}, {value[1]:.6g}]" if name in record.cis
+                     else f"{value:.6g}"))
+    rows.append(("timing_ms", f"{record.timing_ms:.1f}"))
     width = max(len(str(k)) for k, _ in rows)
     return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
-
-
-def _fmt_ci(ci):
-    return f"[{ci[0]:.6g}, {ci[1]:.6g}]"
 
 
 def _add_estimator_flags(p):

@@ -11,6 +11,10 @@ import numpy as np
 from .density import DensityCurve
 from .errors import CurveShapeWarning, InvalidCurveError
 
+FLAT_CURVE = "density curve is flat; the unimodality assumption looks violated"
+MODE_AT_GRID_EDGE = ("density curve peaks at the edge of the grid; "
+                     "the grid may not cover the mode")
+
 
 @dataclass(frozen=True)
 class ModeLocation:
@@ -39,7 +43,7 @@ def curve_shape_flags(values):
     v = np.asarray(values, dtype=float)
     flags = []
     if v.max() == v.min():
-        flags.append("density curve is flat; the unimodality assumption looks violated")
+        flags.append(FLAT_CURVE)
     else:
         interior = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
         peak_vals = v[1:-1][interior]
@@ -50,8 +54,7 @@ def curve_shape_flags(values):
                 "the unimodality assumption looks violated"
             )
         if v.argmax() in (0, v.size - 1):
-            flags.append("density curve peaks at the edge of the grid; "
-                         "the grid may not cover the mode")
+            flags.append(MODE_AT_GRID_EDGE)
     return flags
 
 

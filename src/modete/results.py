@@ -7,7 +7,9 @@ from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 
 from .density import DensityCurve, _scan_curve
-from .modes import curve_shape_flags, mode_of_curve
+from .modes import FLAT_CURVE, MODE_AT_GRID_EDGE, curve_shape_flags, mode_of_curve
+
+SCHEMA_VERSION = "1"  # of the CLI record and the Monte Carlo report
 
 
 @dataclass(frozen=True)
@@ -122,14 +124,8 @@ def estimate_from_fits(fits, grid, spec, *, n, method, alpha, folds=None, fold_r
         theta[arm] = mode_of_curve(curves[arm], fit.value, lambda yq, f=fit: f.value(yq, 1)).theta
     (m1, v1), (m0, v0) = fits[1].components(theta[1]), fits[0].components(theta[0])
     flags = curve_shape_flags(curves[1].values) + curve_shape_flags(curves[0].values)
-    edges = (0, grid.size - 1)
-    diag = Diagnostics(
-        flat_curve=any(c.values.max() == c.values.min() for c in curves.values()),
-        mode_at_grid_edge=any(c.values.max() > c.values.min() and c.values.argmax() in edges
-                              for c in curves.values()),
-        fold_reseeds=fold_reseeds,
-        warnings=tuple(flags),
-    )
+    diag = Diagnostics(flat_curve=FLAT_CURVE in flags, mode_at_grid_edge=MODE_AT_GRID_EDGE in flags,
+                       fold_reseeds=fold_reseeds, warnings=tuple(flags))
     return build_result(
         theta[1], theta[0], m1, m0, v1, v0, n=n, h=spec.h, method=method,
         family=spec.family, alpha=alpha, folds=folds, diagnostics=diag,

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -26,8 +26,11 @@ from .dml import DMLConfig, OracleNuisance, estimate_dml_mte
 from .errors import EstimationError, MonteCarloError, UnimodalityViolationError
 from .kernels import DML_METHOD, KERNEL_METHOD, KernelSpec, eval_kernel, kernel_support
 from .kernel_mte import estimate_kernel_mte
+from .results import SCHEMA_VERSION
 
 _MASK64 = (1 << 64) - 1
+_QUAD_POINTS = 201  # Gauss-Legendre nodes per covariate and in the kernel argument
+_MODE_GRID_POINTS = 10_000  # of the numerical oracle's search grid
 
 
 def _mix_seed(seed, rep):
@@ -41,9 +44,20 @@ def _mix_seed(seed, rep):
     return z
 
 
+def _gaussian(z, loc, sigma):
+    """``exp(-u**2 / 2)`` with ``u = (z - loc) / sigma``, broadcast, computed
+    in place on one new array."""
+    u = z - loc
+    u /= sigma
+    u *= u
+    u *= -0.5
+    return np.exp(u, out=u)
+
+
 @dataclass(frozen=True)
-class NormalLaw:
-    """Conditional law ``Y | X = x ~ N(mu + slope . x, sigma**2)``."""
+class _LocationLaw:
+    """The parameters and the location ``mu + slope . x`` that the normal and
+    lognormal laws share."""
 
     mu: float
     slope: tuple
@@ -52,21 +66,26 @@ class NormalLaw:
     def location(self, x):
         return self.mu + x @ np.asarray(self.slope)
 
-    def transform(self, z, x):
-        return self.location(x) + self.sigma * z
-
     def sample(self, rng, x):
         return self.transform(rng.standard_normal(x.shape[0]), x)
-
-    def pdf_grid(self, y, x):
-        loc = self.location(x)[:, None]
-        u = (np.asarray(y)[None, :] - loc) / self.sigma
-        return np.exp(-0.5 * u * u) / (self.sigma * math.sqrt(2.0 * math.pi))
 
     def location_bounds(self):
         lo = self.mu + sum(min(0.0, s) for s in self.slope)
         hi = self.mu + sum(max(0.0, s) for s in self.slope)
         return lo, hi
+
+
+@dataclass(frozen=True)
+class NormalLaw(_LocationLaw):
+    """Conditional law ``Y | X = x ~ N(mu + slope . x, sigma**2)``."""
+
+    def transform(self, z, x):
+        return self.location(x) + self.sigma * z
+
+    def pdf_grid(self, y, x):
+        out = _gaussian(np.asarray(y)[None, :], self.location(x)[:, None], self.sigma)
+        out /= self.sigma * math.sqrt(2.0 * math.pi)
+        return out
 
     def support_bounds(self):
         lo, hi = self.location_bounds()
@@ -77,39 +96,21 @@ class NormalLaw:
 
 
 @dataclass(frozen=True)
-class LogNormalLaw:
+class LogNormalLaw(_LocationLaw):
     """Conditional law ``log Y | X = x ~ N(mu + slope . x, sigma**2)``."""
-
-    mu: float
-    slope: tuple
-    sigma: float
-
-    def location(self, x):
-        return self.mu + x @ np.asarray(self.slope)
 
     def transform(self, z, x):
         return np.exp(self.location(x) + self.sigma * z)
 
-    def sample(self, rng, x):
-        return self.transform(rng.standard_normal(x.shape[0]), x)
-
     def pdf_grid(self, y, x):
         y = np.asarray(y, dtype=float)
-        loc = self.location(x)[:, None]
         out = np.zeros((x.shape[0], y.size))
         pos = y > 0
         if pos.any():
-            ln = np.log(y[pos])[None, :]
-            u = (ln - loc) / self.sigma
-            out[:, pos] = np.exp(-0.5 * u * u) / (
-                y[pos][None, :] * self.sigma * math.sqrt(2.0 * math.pi)
-            )
+            part = _gaussian(np.log(y[pos])[None, :], self.location(x)[:, None], self.sigma)
+            part /= y[pos][None, :] * self.sigma * math.sqrt(2.0 * math.pi)
+            out[:, pos] = part
         return out
-
-    def location_bounds(self):
-        lo = self.mu + sum(min(0.0, s) for s in self.slope)
-        hi = self.mu + sum(max(0.0, s) for s in self.slope)
-        return lo, hi
 
     def support_bounds(self):
         lo, hi = self.location_bounds()
@@ -147,9 +148,12 @@ class MixtureLaw:
         return y
 
     def pdf_grid(self, y, x):
-        out = self.weights[0] * self.components[0].pdf_grid(y, x)
+        out = self.components[0].pdf_grid(y, x)
+        out *= self.weights[0]
         for w, law in zip(self.weights[1:], self.components[1:]):
-            out += w * law.pdf_grid(y, x)
+            part = law.pdf_grid(y, x)
+            part *= w
+            out += part
         return out
 
     def support_bounds(self):
@@ -246,32 +250,39 @@ def generate(dgp: DGPSpec, n, seed) -> Sample:
     return Sample(y, d, x)
 
 
-def _covariate_quadrature(dim, points=201):
-    """Tensor Gauss-Legendre nodes/weights on the unit covariate box."""
-    z, w = np.polynomial.legendre.leggauss(points)
+@lru_cache(maxsize=None)
+def _covariate_quadrature(dim):
+    """Tensor Gauss-Legendre nodes/weights on the unit covariate box, shared
+    by every caller and so read-only."""
+    z, w = np.polynomial.legendre.leggauss(_QUAD_POINTS)
     nodes1 = 0.5 * (z + 1.0)
     weights1 = 0.5 * w
-    if dim == 1:
-        return nodes1[:, None], weights1
     grids = np.meshgrid(*([nodes1] * dim), indexing="ij")
     nodes = np.column_stack([g.ravel() for g in grids])
     wgrids = np.meshgrid(*([weights1] * dim), indexing="ij")
     weights = np.ones(nodes.shape[0])
     for wg in wgrids:
         weights *= wg.ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
-def marginal_pdf(dgp: DGPSpec, arm, y, quad_points=201):
-    """Marginal potential-outcome density, integrating the covariates out."""
+def marginal_pdf(dgp: DGPSpec, arm, y):
+    """Marginal potential-outcome density, integrating the covariates out.
+
+    The conditional densities are taken for blocks of nodes within the
+    package's memory budget, with ``y`` as the long inner axis, and summed
+    over the nodes without BLAS, so the values do not depend on its thread
+    count.
+    """
     law = dgp.law(arm)
-    nodes, weights = _covariate_quadrature(dgp.dim, quad_points)
+    nodes, weights = _covariate_quadrature(dgp.dim)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     out = np.zeros(y.size)
-    step = max(1, 2_000_000 // max(nodes.shape[0], 1))
-    for start in range(0, y.size, step):
-        stop = min(start + step, y.size)
-        out[start:stop] = weights @ law.pdf_grid(y[start:stop], nodes)
+    step = density._block_rows(y.size)
+    for start in range(0, nodes.shape[0], step):
+        block = slice(start, start + step)
+        out += np.einsum("i,ij->j", weights[block], law.pdf_grid(y, nodes[block]))
     return out
 
 
@@ -293,7 +304,7 @@ def _golden_max(f, lo, hi, tol=1e-8):
     return 0.5 * (a + b)
 
 
-def numeric_mode(dgp: DGPSpec, arm, grid_points=10_000):
+def numeric_mode(dgp: DGPSpec, arm):
     """Numerical oracle: fine-grid argmax of the marginal plus golden-section.
 
     Raises :class:`UnimodalityViolationError` when a second grid-local
@@ -301,10 +312,11 @@ def numeric_mode(dgp: DGPSpec, arm, grid_points=10_000):
     """
     law = dgp.law(arm)
     lo, hi = law.support_bounds()
-    grid = np.linspace(lo, hi, grid_points)
-    f = marginal_pdf(dgp, arm, grid)
-    v = f
-    interior = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
+    grid = np.linspace(lo, hi, _MODE_GRID_POINTS)
+    v = marginal_pdf(dgp, arm, grid)
+    # The last point of a tie counts: a symmetric marginal's mode can sit
+    # halfway between two grid points, whose values are then equal.
+    interior = (v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])
     peaks = np.flatnonzero(interior) + 1
     if peaks.size == 0:
         raise UnimodalityViolationError(
@@ -333,7 +345,7 @@ def true_mode(dgp: DGPSpec, arm):
     return float(numeric_mode(dgp, arm))
 
 
-def oracle_nuisances(dgp: DGPSpec, arm, spec: KernelSpec, quad_points=201) -> OracleNuisance:
+def oracle_nuisances(dgp: DGPSpec, arm, spec: KernelSpec) -> OracleNuisance:
     """True propensity and smoothed-outcome conditional mean for one arm.
 
     The conditional mean of the kernel target is computed by Gauss-Legendre
@@ -342,7 +354,7 @@ def oracle_nuisances(dgp: DGPSpec, arm, spec: KernelSpec, quad_points=201) -> Or
     """
     law = dgp.law(arm)
     lo, hi = kernel_support(spec.family)
-    z, w = np.polynomial.legendre.leggauss(quad_points)
+    z, w = np.polynomial.legendre.leggauss(_QUAD_POINTS)
     u = 0.5 * (hi - lo) * z + 0.5 * (hi + lo)
     wk = 0.5 * (hi - lo) * w * eval_kernel(spec.family, u, 0)
 
@@ -377,26 +389,9 @@ class MonteCarloReport:
     failures: tuple
 
     def to_dict(self):
-        return {
-            "schema_version": "1",
-            "dgp": self.dgp,
-            "n": self.n,
-            "reps": self.reps,
-            "method": self.method,
-            "truth": dict(self.truth),
-            "targets": {
-                name: {
-                    "bias": s.bias,
-                    "sd": s.sd,
-                    "rmse": s.rmse,
-                    "coverage_95": s.coverage_95,
-                    "mean_ci_width": s.mean_ci_width,
-                }
-                for name, s in self.targets.items()
-            },
-            "per_rep": [dict(r) for r in self.per_rep],
-            "failures": [list(f) for f in self.failures],
-        }
+        doc = asdict(self)
+        return {"schema_version": SCHEMA_VERSION, **doc, "per_rep": list(doc["per_rep"]),
+                "failures": [list(f) for f in self.failures]}
 
 
 def _estimate(method, sample, config, rep_seed):
@@ -427,6 +422,13 @@ def _summaries(values, truth, ci_los, ci_his):
     )
 
 
+# The :class:`MTEResult` fields of a ``per_rep`` entry after its ``rep`` and
+# ``seed``: the estimates and standard errors, then the intervals as lists;
+# ``h`` ends the entry.
+_REP_SCALARS = ("theta1", "theta0", "delta", "se1", "se0", "se_delta")
+_REP_INTERVALS = ("ci1", "ci0", "ci_delta")
+
+
 def _replicate(dgp, n, method, config, seed, rep):
     """One generate-estimate cycle: ``(record, failure, warned)``.
 
@@ -446,20 +448,10 @@ def _replicate(dgp, n, method, config, seed, rep):
     warned = [(w.category, str(w.message)) for w in caught]
     if res is None:
         return None, failure, warned
-    record = {
-        "rep": rep,
-        "seed": rep_seed,
-        "theta1": res.theta1,
-        "theta0": res.theta0,
-        "delta": res.delta,
-        "se1": res.se1,
-        "se0": res.se0,
-        "se_delta": res.se_delta,
-        "ci1": list(res.ci1),
-        "ci0": list(res.ci0),
-        "ci_delta": list(res.ci_delta),
-        "h": res.h,
-    }
+    record = {"rep": rep, "seed": rep_seed,
+              **{name: getattr(res, name) for name in _REP_SCALARS},
+              **{name: list(getattr(res, name)) for name in _REP_INTERVALS},
+              "h": res.h}
     return record, None, warned
 
 
@@ -563,11 +555,8 @@ def run_monte_carlo(dgp: DGPSpec, n, reps, method, config=None, seed=0) -> Monte
     """
     if reps < 2:
         raise ValueError(f"need reps >= 2, got {reps}")
-    truth = {
-        "theta1": true_mode(dgp, 1),
-        "theta0": true_mode(dgp, 0),
-        "delta": true_mode(dgp, 1) - true_mode(dgp, 0),
-    }
+    truth = {"theta1": true_mode(dgp, 1), "theta0": true_mode(dgp, 0)}
+    truth["delta"] = truth["theta1"] - truth["theta0"]
     records = []
     failures = []
     task = partial(_replicate, dgp, n, method, config, seed)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from modete.cli import (
     EXIT_USAGE,
     CsvFormatError,
     ResultRecord,
+    _format_table,
     load_csv,
     main,
 )
@@ -235,3 +237,54 @@ class TestResultRecord:
         doc = rec.to_dict()
         doc["future_field"] = {"anything": 1}
         assert ResultRecord.from_json(json.dumps(doc)) == rec
+
+    def test_diagnostics_mirror_the_result_type(self, sample_csv):
+        """Every field of ``Diagnostics`` reaches the record, in its order."""
+        _, sample = sample_csv
+        rec = ResultRecord.from_result(m.estimate_kernel_mte(sample), timing_ms=1.0)
+        assert list(rec.diagnostics) == [f.name for f in fields(m.Diagnostics)]
+        assert isinstance(rec.diagnostics["warnings"], list)
+
+    def test_missing_required_field_raises(self, sample_csv):
+        _, sample = sample_csv
+        doc = ResultRecord.from_result(m.estimate_kernel_mte(sample), timing_ms=1.0).to_dict()
+        del doc["ses"]
+        with pytest.raises(KeyError):
+            ResultRecord.from_json(json.dumps(doc))
+
+
+_RECORD = ResultRecord(
+    schema_version="1", method="dml", n=400, h=0.25, family="gaussian",
+    estimates={"theta1": 1.25, "theta0": 0.75, "delta": 0.5},
+    ses={"se1": 0.125, "se0": 0.0625, "se_delta": 0.1397542485937369},
+    cis={"ci1": [1.005, 1.495], "ci0": [0.6275, 0.8725], "ci_delta": [0.2260912, 0.7739088]},
+    components={"m1_hat": -1.5, "m0_hat": -2.0, "v1_hat": 0.03125, "v0_hat": 0.0234375},
+    diagnostics={"flat_curve": False, "mode_at_grid_edge": False, "m_hat_sign": False,
+                 "fold_reseeds": 0, "warnings": []},
+    timing_ms=12.345, folds=5)
+
+_TABLE_BODY = """\
+theta1     1.25
+theta0     0.75
+delta      0.5
+se1        0.125
+se0        0.0625
+se_delta   0.139754
+ci1        [1.005, 1.495]
+ci0        [0.6275, 0.8725]
+ci_delta   [0.226091, 0.773909]
+m1_hat     -1.5
+m0_hat     -2
+v1_hat     0.03125
+v0_hat     0.0234375
+timing_ms  12.3"""
+
+
+class TestFormatTable:
+    def test_with_folds(self):
+        head = "method     dml\nn          400\nh          0.25\nfamily     gaussian\nfolds      5\n"
+        assert _format_table(_RECORD) == head + _TABLE_BODY
+
+    def test_without_folds(self):
+        head = "method     kernel\nn          400\nh          0.25\nfamily     gaussian\n"
+        assert _format_table(replace(_RECORD, method="kernel", folds=None)) == head + _TABLE_BODY

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -99,6 +100,39 @@ class TestTrueMode:
             m.numeric_mode(dgp, 1)
 
 
+def _marginal_pdf_bytes(blas_threads):
+    """``marginal_pdf`` of skew-mixture's treated arm on 200 points, computed
+    in a fresh interpreter with ``blas_threads`` BLAS threads, as hex."""
+    src = str(Path(m.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import numpy as np, modete.simulation as sim; "
+            "dgp = sim.builtin_dgps()['skew-mixture']; "
+            "print(sim.marginal_pdf(dgp, 1, np.linspace(-2.0, 6.0, 200)).tobytes().hex())")
+    threads = str(blas_threads)
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=env, check=True)
+    return proc.stdout
+
+
+class TestMarginalPdf:
+    def test_same_bits_for_any_blas_thread_count(self):
+        assert _marginal_pdf_bytes(1) == _marginal_pdf_bytes(2)
+
+    def test_memory_stays_in_the_block_budget(self, lognormal_selection):
+        law = lognormal_selection.law(0)
+        grid = np.linspace(*law.support_bounds(), 10_000)
+        sim.marginal_pdf(lognormal_selection, 0, grid[:2])  # builds the cached quadrature
+        tracemalloc.start()
+        try:
+            sim.marginal_pdf(lognormal_selection, 0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+
 class TestOracleNuisances:
     def test_normal_law_matches_closed_form_convolution(self, normal_selection):
         spec = m.KernelSpec(m.GAUSSIAN, 0.3)
@@ -183,6 +217,17 @@ class TestRunMonteCarlo:
         assert len(rep.failures) == 1
         assert rep.failures[0][0] == 3
         assert len(rep.per_rep) == 11
+
+    def test_document_key_order(self, lognormal_plain):
+        doc = m.run_monte_carlo(lognormal_plain, 200, 2, "kernel", seed=1).to_dict()
+        assert list(doc) == ["schema_version", "dgp", "n", "reps", "method", "truth",
+                             "targets", "per_rep", "failures"]
+        assert list(doc["truth"]) == list(doc["targets"]) == ["theta1", "theta0", "delta"]
+        assert list(doc["targets"]["delta"]) == ["bias", "sd", "rmse", "coverage_95",
+                                                 "mean_ci_width"]
+        assert list(doc["per_rep"][0]) == ["rep", "seed", "theta1", "theta0", "delta", "se1",
+                                           "se0", "se_delta", "ci1", "ci0", "ci_delta", "h"]
+        assert isinstance(doc["per_rep"], list) and doc["failures"] == []
 
     def test_rejects_single_rep(self, lognormal_plain):
         with pytest.raises(ValueError):

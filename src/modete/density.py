@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateLocalityError
 from .kernels import (
-    _SQRT_2PI, GAUSSIAN, KernelSpec, eval_kernel, kernel_constants, product_kernel, scaled_kernel,
+    _SQRT_2PI, GAUSSIAN, KernelSpec, kernel_constants, product_kernel, scaled_kernel,
 )
 
 # Denominators at or below this are treated as exactly zero.
@@ -232,33 +232,61 @@ def _in_order(fn, items, threads=None):
         wait([future for future in pending if not future.cancel()])
 
 
-def _product_weights_block(x_block, x_all, spec, out=None, tmp=None):
-    """Covariate product-kernel weights between a row block and all points.
+def _scaled_columns(x, spec):
+    """Covariates pre-scaled for :func:`_product_weights_block`, one contiguous
+    row per coordinate: ``(d, n)``.  The Gaussian divides by ``h sqrt(2)``, so
+    that ``(z_i - z_j)**2 = ((x_i - x_j) / h)**2 / 2``; Epanechnikov by ``h``."""
+    scale = spec.h * math.sqrt(2.0) if spec.family == GAUSSIAN else spec.h
+    with np.errstate(over="ignore"):
+        return np.ascontiguousarray((x / scale).T)
 
-    The Gaussian product is one ``exp`` of the summed squared coordinates,
-    computed in ``out`` (with ``tmp`` as scratch when d > 1) if they are
-    given; other families multiply one kernel factor per coordinate, in
-    fresh arrays.
+
+def _mass_floor(spec, dim):
+    """Row sums of :func:`_product_weights_block` at or below this count as
+    no kernel mass: the sum times the kernel's constant (``(sqrt(2 pi) h)**-d``
+    or ``(0.75 / h)**d``) is at or below ``_DEN_FLOOR``, or the sum itself is,
+    which keeps its reciprocal finite.  The constant is never formed: it
+    overflows a double for small ``h``."""
+    scale = _SQRT_2PI * spec.h if spec.family == GAUSSIAN else spec.h / 0.75
+    with np.errstate(over="ignore", under="ignore"):
+        return max(_DEN_FLOOR, float(_DEN_FLOOR * np.float64(scale) ** dim))
+
+
+def _product_weights_block(z_block, z_all, family, out=None, tmp=None):
+    """Covariate product-kernel weights between a row block and all points,
+    without the kernel's constant, which cancels wherever a weight is divided
+    by its row's sum.
+
+    ``z_block`` ``(d, m)`` and ``z_all`` ``(d, k)`` are covariates from
+    :func:`_scaled_columns`; the result is ``(m, k)``, computed in ``out``
+    (with ``tmp`` as scratch when d > 1) if they are given.  Each pair costs a
+    subtraction and a square per coordinate, and then the Gaussian's
+    ``exp(-sum_c (z_ic - z_jc)**2)`` or Epanechnikov's
+    ``prod_c max(0, 1 - (z_ic - z_jc)**2)``: no division and no constant.  A
+    squared distance too large for a double is infinite, and its weight 0; a
+    scaled covariate too large for one gives nan weights, whose rows
+    :func:`_weight_pass` reports as having no mass.
     """
-    dim = x_all.shape[1]
-    if spec.family == GAUSSIAN:
-        w = np.subtract.outer(x_block[:, 0], x_all[:, 0], out=out)
-        w /= spec.h
-        w *= w
-        u = (np.empty_like(w) if tmp is None else tmp) if dim > 1 else None
-        for c in range(1, dim):
-            np.subtract.outer(x_block[:, c], x_all[:, c], out=u)
-            u /= spec.h
-            u *= u
-            w += u
-        w *= -0.5
-        np.exp(w, out=w)
-        w *= (_SQRT_2PI * spec.h) ** (-dim)
-        return w
-    w = eval_kernel(spec.family, (x_block[:, 0, None] - x_all[None, :, 0]) / spec.h, 0)
-    for c in range(1, dim):
-        w *= eval_kernel(spec.family, (x_block[:, c, None] - x_all[None, :, c]) / spec.h, 0)
-    w *= spec.h ** (-dim)
+    gaussian = family == GAUSSIAN
+    combine = np.add if gaussian else np.multiply
+
+    def factor(c, dest):
+        u = np.subtract.outer(z_block[c], z_all[c], out=dest)
+        u *= u
+        if not gaussian:
+            np.subtract(1.0, u, out=u)
+            np.maximum(u, 0.0, out=u)
+        return u
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = factor(0, out)
+        if z_all.shape[0] > 1:
+            u = np.empty_like(w) if tmp is None else tmp
+            for c in range(1, z_all.shape[0]):
+                combine(w, factor(c, u), out=w)
+        if gaussian:
+            np.negative(w, out=w)
+            np.exp(w, out=w)
     return w
 
 
@@ -398,7 +426,9 @@ class KernelArmFit:
     A curve value at ``y`` is ``sum(c * K_h^(order)(y - y_arm)) / n``; with
     variance weights ``c_var`` the same sum at ``theta`` is the mean of the
     score-variance row.  The kernel route (:func:`_weight_pass`) divides by
-    the sample size, and its ``c_var`` averages ``f_hat(theta | x_i) / p_i``;
+    the sample size; its ``c`` sums each point's covariate kernels divided by
+    their row's sum, so the covariate kernel's constant and bandwidth scaling
+    cancel out of it, and its ``c_var`` averages ``f_hat(theta | x_i) / p_i``;
     the cross-fitted route (``dml._arm_fits``) divides by the fold count, and
     its weights are the fold-averaged orthogonal score's.
     :func:`marginal_arm_fit` leaves ``c_var`` None, so such a fit has no
@@ -467,32 +497,41 @@ def _scan_curve(fit: KernelArmFit, grid):
 def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
     """One blocked O(n^2) covariate-weight pass: ``{arm: KernelArmFit}``.
 
-    With ``den[i]`` the arm's covariate-kernel mass at ``x_i`` (all ``i``),
-    ``c[j] = sum_i w_ij / den[i]`` over the arm's observations ``j`` makes a
-    curve value at any outcome ``y`` equal ``sum(c * K_h(y - y_j)) / n``.
-    With ``share``, ``c_var[j] = sum_i w_ij / (den[i] * p[i])``, where
-    ``p = share(arm, den_rows, rows)`` is the arm's clipped probability, so
+    With ``e_ij`` the covariate kernel between ``x_i`` (all ``i``) and the
+    arm's ``x_j`` without its constant (:func:`_product_weights_block`) and
+    ``s[i] = sum_j e_ij`` the arm's mass at ``x_i`` up to the same constant,
+    ``c[j] = sum_i e_ij / s[i]`` over the arm's observations ``j`` makes a
+    curve value at any outcome ``y`` equal ``sum(c * K_h(y - y_j)) / n``: the
+    constant cancels.  With ``share``,
+    ``c_var[j] = sum_i e_ij / (s[i] * p[i])``, where
+    ``p = share(arm, s_rows, rows)`` is the arm's clipped probability (the
+    local share ``s_1 / (s_1 + s_0)`` needs no constant either), so
     ``sum(c_var * K_h(theta - y_j)) / n`` averages ``f_hat(theta | x_i) / p[i]``
-    and the variance needs no second pass; otherwise ``c_var`` is None.
+    and the variance needs no second pass; otherwise ``c_var`` is None.  ``c``
+    is computed the same way in both cases.
 
-    Columns are ordered by arm once, each arm's points gathered in sample
-    order into one contiguous array that every row block is evaluated
-    against: no block is copied by fancy indexing, and reductions see only
-    the arm's own columns, so samples related by an arm swap (or arm
-    duplication) give bit-identical results for the corresponding arm.
+    The covariates are pre-scaled once (:func:`_scaled_columns`), and each
+    arm's points gathered in sample order into one contiguous ``(d, n_arm)``
+    array that every row block is evaluated against: no block is copied by
+    fancy indexing, and reductions see only the arm's own columns, so samples
+    related by an arm swap (or arm duplication) give bit-identical results for
+    the corresponding arm.
 
-    Each row block writes its own rows of ``den`` and returns its
+    Each row block writes its own rows of ``s`` and returns its
     contributions to ``c`` and ``c_var``; the blocks run on the calling
     thread or on the pool's two workers (:func:`_threads`,
     :func:`_in_order`), and the contributions are added strictly in block
     order, so the result is bit-identical on one core or two.  A point with
-    no kernel mass raises :class:`DegenerateLocalityError` for the first such
-    block, as a one-thread pass would.
+    no kernel mass (:func:`_mass_floor`) raises
+    :class:`DegenerateLocalityError` for the first such block, as a
+    one-thread pass would.
     """
     n = sample.n
     idx = {arm: sample.arm_indices(arm) for arm in arms}
-    x_arm = {arm: sample.x[i] for arm, i in idx.items()}
-    den = {arm: np.empty(n) for arm in idx}
+    z = _scaled_columns(sample.x, spec)
+    z_arm = {arm: z[:, i] for arm, i in idx.items()}
+    floor = _mass_floor(spec, sample.dim)
+    mass = {arm: np.empty(n) for arm in idx}
     acc = {arm: np.zeros(i.size) for arm, i in idx.items()}
     acc_var = {arm: np.zeros(i.size) for arm, i in idx.items()} if share is not None else {}
     step = _block_rows(n)
@@ -516,24 +555,24 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
         if me not in scratch:
             scratch[me] = spare.pop()
         buf, used = scratch[me], 0
-        w, c, c_var = {}, {}, {}
+        e, c, c_var = {}, {}, {}
         for arm in idx:
             size = m * idx[arm].size
-            w[arm] = _product_weights_block(
-                sample.x[rows], x_arm[arm], spec, out=buf[used:used + size].reshape(m, -1),
+            e[arm] = _product_weights_block(
+                z[:, rows], z_arm[arm], spec.family, out=buf[used:used + size].reshape(m, -1),
                 tmp=buf[step * n:step * n + size].reshape(m, -1) if width else None)
             used += size
-            d_blk = w[arm].sum(axis=1)
-            bad = np.flatnonzero(d_blk <= _DEN_FLOOR)
+            s_blk = e[arm].sum(axis=1)
+            bad = np.flatnonzero(~(s_blk > floor))
             if bad.size:
                 i = start + int(bad[0])
                 raise DegenerateLocalityError(arm, sample.x[i], index=i)
-            den[arm][rows] = d_blk
-            c[arm] = w[arm].T @ (1.0 / d_blk)
+            mass[arm][rows] = s_blk
+            c[arm] = e[arm].T @ (1.0 / s_blk)
         if share is not None:
             for arm in idx:
-                p = share(arm, {a: den[a][rows] for a in idx}, rows)
-                c_var[arm] = w[arm].T @ (1.0 / (den[arm][rows] * p))
+                p = share(arm, {a: mass[a][rows] for a in idx}, rows)
+                c_var[arm] = e[arm].T @ (1.0 / (mass[arm][rows] * p))
         return c, c_var
 
     for c, c_var in _in_order(block, starts, threads):

@@ -55,8 +55,9 @@ def robust_scale(y):
 
 
 def _clipped_share(pi_hat, x, kappa):
-    """Clipped arm probabilities ``share(arm, den, rows)`` for the weight pass:
-    the local shares ``den_a / (den_1 + den_0)``, or ``pi_hat(x)`` (arm 1) and
+    """Clipped arm probabilities ``share(arm, mass, rows)`` for the weight
+    pass: the local shares ``mass_a / (mass_1 + mass_0)`` of the arms' kernel
+    masses (known up to a common constant), or ``pi_hat(x)`` (arm 1) and
     ``1 - pi_hat(x)`` (arm 0), evaluated once and checked to be finite per row.
     """
     if pi_hat is not None:
@@ -66,9 +67,9 @@ def _clipped_share(pi_hat, x, kappa):
         if not np.isfinite(pi).all():
             raise ValueError("pi_hat returned non-finite values")
 
-    def share(arm, den, rows):
+    def share(arm, mass, rows):
         if pi_hat is None:
-            p = den[arm] / (den[1] + den[0])
+            p = mass[arm] / (mass[1] + mass[0])
         else:
             p = pi[rows] if arm == 1 else 1.0 - pi[rows]
         return clip_propensity(p, kappa)

@@ -30,7 +30,9 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .density import _DEN_FLOOR, Sample, _block_rows, _kernel_sums, _product_weights_block
+from .density import (
+    Sample, _block_rows, _kernel_sums, _mass_floor, _product_weights_block, _scaled_columns,
+)
 from .errors import ConvergenceError, NoDataError, NoOverlapError
 from .kernels import GAUSSIAN, KernelSpec, scaled_kernel
 
@@ -229,7 +231,8 @@ def _fit_kernel_propensity(x, d, hyper):
     n, dim = x.shape
     spec = hyper.get("spec") or KernelSpec(GAUSSIAN, n ** (-1.0 / (dim + 4)))
     mu, sd = _standardizer(x)
-    train = (x - mu) / sd
+    train = _scaled_columns((x - mu) / sd, spec)
+    floor = _mass_floor(spec, dim)
     labels = d.astype(float)
     fallback = float(labels.mean())
     step = _block_rows(n)
@@ -237,14 +240,14 @@ def _fit_kernel_propensity(x, d, hyper):
     def predict(xq):
         # Query rows are weighted in blocks within the shared budget; a
         # block's matrix-vector product may round differently from one over
-        # all rows, by a few ulps.
-        xq = (np.atleast_2d(np.asarray(xq, dtype=float)) - mu) / sd
-        out = np.full(xq.shape[0], fallback)
-        for s in range(0, xq.shape[0], step):
-            w = _product_weights_block(xq[s:s + step], train, spec)
+        # all rows, by a few ulps.  The kernel's constant cancels in the ratio.
+        zq = _scaled_columns((np.atleast_2d(np.asarray(xq, dtype=float)) - mu) / sd, spec)
+        out = np.full(zq.shape[1], fallback)
+        for s in range(0, zq.shape[1], step):
+            w = _product_weights_block(zq[:, s:s + step], train, spec.family)
             den = w.sum(axis=1)
             num = w @ labels
-            ok = den > _DEN_FLOOR
+            ok = den > floor
             out[s:s + step][ok] = num[ok] / den[ok]
         return out
 

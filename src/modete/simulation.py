@@ -44,10 +44,10 @@ def _mix_seed(seed, rep):
     return z
 
 
-def _gaussian(z, loc, sigma):
+def _gaussian(z, loc, sigma, out=None):
     """``exp(-u**2 / 2)`` with ``u = (z - loc) / sigma``, broadcast, computed
-    in place on one new array."""
-    u = z - loc
+    in place in ``out``, or in one new array."""
+    u = np.subtract(z, loc, out=out)
     u /= sigma
     u *= u
     u *= -0.5
@@ -82,8 +82,8 @@ class NormalLaw(_LocationLaw):
     def transform(self, z, x):
         return self.location(x) + self.sigma * z
 
-    def pdf_grid(self, y, x):
-        out = _gaussian(np.asarray(y)[None, :], self.location(x)[:, None], self.sigma)
+    def pdf_grid(self, y, x, out=None):
+        out = _gaussian(np.asarray(y)[None, :], self.location(x)[:, None], self.sigma, out)
         out /= self.sigma * math.sqrt(2.0 * math.pi)
         return out
 
@@ -102,14 +102,14 @@ class LogNormalLaw(_LocationLaw):
     def transform(self, z, x):
         return np.exp(self.location(x) + self.sigma * z)
 
-    def pdf_grid(self, y, x):
+    def pdf_grid(self, y, x, out=None):
         y = np.asarray(y, dtype=float)
-        out = np.zeros((x.shape[0], y.size))
         pos = y > 0
-        if pos.any():
-            part = _gaussian(np.log(y[pos])[None, :], self.location(x)[:, None], self.sigma)
-            part /= y[pos][None, :] * self.sigma * math.sqrt(2.0 * math.pi)
-            out[:, pos] = part
+        # Outcomes without support are evaluated at 1, then zeroed.
+        safe = np.where(pos, y, 1.0)
+        out = _gaussian(np.log(safe)[None, :], self.location(x)[:, None], self.sigma, out)
+        out /= safe[None, :] * self.sigma * math.sqrt(2.0 * math.pi)
+        out *= pos
         return out
 
     def support_bounds(self):
@@ -147,11 +147,12 @@ class MixtureLaw:
                 y[mask] = law.transform(z[mask], x[mask])
         return y
 
-    def pdf_grid(self, y, x):
-        out = self.components[0].pdf_grid(y, x)
+    def pdf_grid(self, y, x, out=None):
+        out = self.components[0].pdf_grid(y, x, out)
         out *= self.weights[0]
+        part = None
         for w, law in zip(self.weights[1:], self.components[1:]):
-            part = law.pdf_grid(y, x)
+            part = law.pdf_grid(y, x, part)
             part *= w
             out += part
         return out
@@ -271,18 +272,20 @@ def marginal_pdf(dgp: DGPSpec, arm, y):
     """Marginal potential-outcome density, integrating the covariates out.
 
     The conditional densities are taken for blocks of nodes within the
-    package's memory budget, with ``y`` as the long inner axis, and summed
-    over the nodes without BLAS, so the values do not depend on its thread
-    count.
+    package's memory budget, with ``y`` as the long inner axis, each block
+    written into the same buffer, and summed over the nodes without BLAS, so
+    the values do not depend on its thread count.
     """
     law = dgp.law(arm)
     nodes, weights = _covariate_quadrature(dgp.dim)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     out = np.zeros(y.size)
     step = density._block_rows(y.size)
+    buf = np.empty((min(step, nodes.shape[0]), y.size))
     for start in range(0, nodes.shape[0], step):
-        block = slice(start, start + step)
-        out += np.einsum("i,ij->j", weights[block], law.pdf_grid(y, nodes[block]))
+        rows = nodes[start:start + step]
+        pdf = law.pdf_grid(y, rows, buf[:rows.shape[0]])
+        out += np.einsum("i,ij->j", weights[start:start + step], pdf)
     return out
 
 

@@ -181,15 +181,17 @@ def test_default_grid_padding():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_fused_gaussian_weights_match_coordinate_product(dim):
-    from modete.density import _product_weights_block
+    """The fused block leaves out the constant ``(sqrt(2 pi) h)**-d``."""
+    from modete.density import _product_weights_block, _scaled_columns
 
     rng = np.random.default_rng(dim)
     xa = rng.normal(size=(30, dim))
     xb = rng.normal(size=(17, dim))
     spec = m.KernelSpec(m.GAUSSIAN, 0.7)
-    fused = _product_weights_block(xb, xa, spec)
+    fused = _product_weights_block(_scaled_columns(xb, spec), _scaled_columns(xa, spec),
+                                   spec.family)
     factors = m.eval_kernel(m.GAUSSIAN, (xb[:, None, :] - xa[None, :, :]) / spec.h, 0)
-    want = np.prod(factors, axis=-1) * spec.h ** (-dim)
+    want = np.prod(factors, axis=-1) * math.sqrt(2.0 * math.pi) ** dim
     assert np.max(np.abs(fused / want - 1.0)) <= 1e-13
 
 
@@ -245,11 +247,13 @@ def test_kernel_sums_of_a_far_outcome_are_zero():
 def test_covariate_weights_keep_the_subnormal_tail():
     """The covariate kernel is not cut: a pair 37.7 bandwidths apart still
     gets a nonzero, subnormal weight."""
-    from modete.density import _product_weights_block
+    from modete.density import _product_weights_block, _scaled_columns
 
     spec = m.KernelSpec(m.GAUSSIAN, 0.3)
     with np.errstate(under="ignore"):
-        w = _product_weights_block(np.array([[0.0]]), np.array([[37.7 * spec.h]]), spec)
+        w = _product_weights_block(_scaled_columns(np.array([[0.0]]), spec),
+                                   _scaled_columns(np.array([[37.7 * spec.h]]), spec),
+                                   spec.family)
     assert 0.0 < w[0, 0] < np.finfo(float).tiny
 
 

@@ -210,6 +210,62 @@ class TestOnePassVariance:
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("family", [m.GAUSSIAN, m.EPANECHNIKOV])
+    @pytest.mark.parametrize("user_pi", [False, True])
+    @pytest.mark.parametrize("design", ["skew-mixture", "three-covariates"])
+    def test_components_match_definitions_with_more_covariates(self, design, family, user_pi,
+                                                               dgps):
+        if design == "skew-mixture":
+            sample = m.generate(dgps["skew-mixture"], 150, seed=4)
+        else:
+            sample = small_sample(n=150, seed=4, dim=3)
+        # At h = 0.9 some point of the three-covariate sample has no
+        # Epanechnikov mass in one arm.
+        spec = m.KernelSpec(family, 0.9 if sample.dim == 2 else 1.2)
+        pi_hat = (lambda x: 1.0 / (1.0 + np.exp(-1.5 * x[:, 0]))) if user_pi else None
+        res = m.estimate_kernel_mte(sample, spec, kappa=0.05, pi_hat=pi_hat)
+        want = self.per_observation(sample, spec, res.theta1, res.theta0, 0.05, pi_hat)
+        got = (res.m1_hat, res.m0_hat, res.v1_hat, res.v0_hat)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("family", [m.GAUSSIAN, m.EPANECHNIKOV])
+    @pytest.mark.parametrize("design", ["lognormal-selection", "skew-mixture"])
+    def test_curve_weights_do_not_depend_on_variance_weights(self, monkeypatch, design, family,
+                                                             dgps):
+        """The estimate's pass, which also makes the variance weights, gives
+        each arm the curve weights of :func:`marginal_arm_fit`, bit for bit."""
+        import modete.kernel_mte as kernel_mte
+
+        seen = {}
+        real = kernel_mte.estimate_from_fits
+
+        def spy(fits, *args, **kwargs):
+            seen.update(fits)
+            return real(fits, *args, **kwargs)
+
+        monkeypatch.setattr(kernel_mte, "estimate_from_fits", spy)
+        sample = m.generate(dgps[design], 1500, seed=6)
+        spec = m.KernelSpec(family, 0.4)
+        m.estimate_kernel_mte(sample, spec)
+        std, _ = m.standardize_covariates(sample)
+        for arm in (1, 0):
+            assert seen[arm].c_var is not None
+            assert m.marginal_arm_fit(std, arm, spec).c.tobytes() == seen[arm].c.tobytes()
+
+    @pytest.mark.parametrize("family", [m.GAUSSIAN, m.EPANECHNIKOV])
+    @pytest.mark.parametrize("h", [1e-320, 1e-200, 1e-100, 1e-5])
+    def test_extreme_bandwidth_raises_only_a_typed_error(self, h, family, dgps):
+        """At a bandwidth so small that no point has kernel mass in the other
+        arm, the estimate raises :class:`DegenerateLocalityError`, with no
+        overflow of the kernel's constant or of the squared distances, and no
+        numpy warning."""
+        sample = m.generate(dgps["skew-mixture"], 400, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(m.DegenerateLocalityError):
+                m.estimate_kernel_mte(sample, m.KernelSpec(family, h))
+
     @pytest.mark.parametrize("bad", [lambda x: np.ones(1), lambda x: np.full(len(x), np.nan)],
                              ids=["length-1", "nan"])
     def test_estimate_rejects_bad_pi_hat(self, bad):

@@ -21,6 +21,7 @@ import numpy as np
 from .density import Sample
 from .errors import EstimationError
 from .kernels import DML_METHOD, EPANECHNIKOV, GAUSSIAN, KERNEL_METHOD
+from .learners import OUTCOME_LEARNERS, PROPENSITY_LEARNERS
 from .results import SCHEMA_VERSION, MTEResult
 from .simulation import _estimate, builtin_dgps, run_monte_carlo
 
@@ -185,8 +186,8 @@ def _add_estimator_flags(p):
     p.add_argument("--bandwidth", default="auto")
     p.add_argument("--grid-points", type=int, default=512)
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--learner-pi", choices=["logistic", "knn", "kernel"], default="logistic")
-    p.add_argument("--learner-g", choices=["ridge", "knn"], default="ridge")
+    p.add_argument("--learner-pi", choices=PROPENSITY_LEARNERS, default="logistic")
+    p.add_argument("--learner-g", choices=OUTCOME_LEARNERS, default="ridge")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--kappa", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)

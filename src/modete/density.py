@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateLocalityError
 from .kernels import (
-    _SQRT_2PI, GAUSSIAN, KernelSpec, kernel_constants, product_kernel, scaled_kernel,
+    _SQRT_2PI, GAUSSIAN, KernelSpec, _kernel_scale, kernel_constants, product_kernel, scaled_kernel,
 )
 
 # Denominators at or below this are treated as exactly zero.
@@ -305,21 +305,24 @@ def _kernel_sums(spec, grid, y, w, order=0):
     kept kernel stays a normal double for ``h <= 1.6``, so the chunk holds no
     subnormal, on which numpy's ``exp`` is 4 to 90 times slower.  Covariate weights keep their
     tails (:func:`_product_weights_block`): a weight is divided by its
-    point's kernel mass, which can be as small as the weight itself.
+    point's kernel mass, which can be as small as the weight itself.  A
+    square that overflows is infinite, and its kernel 0.
     """
     out = np.empty((grid.size,) + w.shape[1:])
     step = _block_rows(max(y.size, 1))
     fused = order == 0 and spec.family == GAUSSIAN
     if fused:
+        scale = _kernel_scale(spec.h, 0)
         buf = np.empty((min(step, grid.size), y.size))
         kept = np.empty(buf.shape, dtype=bool)
     for start in range(0, grid.size, step):
         g = grid[start:start + step]
         if fused:
             k, keep = buf[:g.size], kept[:g.size]
-            np.subtract.outer(g, y, out=k)
-            k /= spec.h
-            k *= k
+            with np.errstate(over="ignore"):
+                np.subtract.outer(g, y, out=k)
+                k /= spec.h
+                k *= k
             k *= -0.5
             # A clamp and a multiply by the mask cost far less than masked
             # assignment; the clamp also keeps an overflowed -inf from
@@ -329,7 +332,7 @@ def _kernel_sums(spec, grid, y, w, order=0):
             np.exp(k, out=k)
             k *= keep
             k /= _SQRT_2PI
-            k *= spec.h ** -1
+            k *= scale
         else:
             k = scaled_kernel(spec, g[:, None] - y[None, :], order)
         out[start:start + step] = k @ w
@@ -349,7 +352,8 @@ def _binned_sums(spec, grid, y, w):
     in O(n + G log G), with a bound: ``(sums, eps)``, each sum within ``eps``
     of :func:`_kernel_sums`'s, or None where the scan does not apply (another
     family, ``w`` with columns, non-finite input, a grid that is not uniform,
-    or a lattice of more than ``_SCAN_SPAN`` times ``_SCAN_BINS * G`` bins).
+    a lattice of more than ``_SCAN_SPAN`` times ``_SCAN_BINS * G`` bins, or a
+    bound that is not finite, as at a bandwidth far below the bin width).
 
     The weights are binned linearly onto a lattice of ``_SCAN_BINS`` bins of
     width ``delta`` per grid step, on which the grid points lie, and convolved
@@ -412,11 +416,11 @@ def _binned_sums(spec, grid, y, w):
     table[size - half:] = kern[:0:-1]
     sums = irfft(rfft(binned, size) * rfft(table), size)[half:half + cells + 1:_SCAN_BINS].copy()
     s, k0 = float(np.abs(w).sum()), 1.0 / (_SQRT_2PI * h)
-    eps = s * (k0 * delta * delta / (8.0 * h * h)
+    eps = s * (k0 * (delta / h) * (delta / h) / 8.0
                + k0 * math.exp(-0.5) / h * (dev + 8 * _U * (abs(lo) + abs(hi) + half * delta))
                + 32 * math.log2(size) * _U * float(table.sum())
                + 2 * k0 * math.exp(_EXP_FLOOR)) + 2 * _sum_rounding(spec, y, w)
-    return sums, eps
+    return (sums, eps) if math.isfinite(eps) else None
 
 
 @dataclass(frozen=True, eq=False)

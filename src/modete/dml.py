@@ -3,8 +3,10 @@ score-based density curves, mode extraction, and the equivalent-form variance
 components.
 
 Each fold's scores are evaluated with nuisances fitted on the complementary
-folds only.  The score for the treated arm at outcome point ``y`` and
-derivative order ``s`` is
+folds only.  The nuisances hold no outcome grid, so a curve can be read on
+any grid; the mode search's is chosen in :func:`results.estimate_from_fits`.
+The score for the treated arm at outcome point ``y`` and derivative order
+``s`` is
 
     d * K_h^(s)(y - y_obs) / pi  -  (d - pi) / pi * g
 
@@ -84,14 +86,13 @@ class FoldNuisance:
 
 @dataclass(frozen=True, eq=False)
 class NuisanceBundle:
-    """Per-fold nuisance fits sharing one outcome grid and kernel."""
+    """Per-fold nuisance fits sharing one kernel."""
 
     folds: tuple
-    grid: np.ndarray
     spec: KernelSpec
 
 
-def fit_nuisances(sample: Sample, partition: FoldPartition, spec: KernelSpec, grid,
+def fit_nuisances(sample: Sample, partition: FoldPartition, spec: KernelSpec,
                   pi_learner="logistic", g_learner="ridge",
                   pi_hyper=None, g_hyper=None, kappa=0.01) -> NuisanceBundle:
     """Fit the propensity and both smoothed-outcome regressions per fold.
@@ -100,19 +101,17 @@ def fit_nuisances(sample: Sample, partition: FoldPartition, spec: KernelSpec, gr
     The folds' fits are pool tasks (:func:`density._in_order`), returned in
     fold order.
     """
-    grid = np.asarray(grid, dtype=float)
-
     def fold(k):
         aux = sample.subset(partition.complement(k))
         for arm in (1, 0):
             if aux.arm_count(arm) == 0:
                 raise NoDataError(f"auxiliary sample of fold {k} has no arm-{arm} observations")
         pi = fit_propensity(aux, learner=pi_learner, hyper=pi_hyper, clip_kappa=kappa)
-        g = {arm: fit_smoothed_outcome(aux.subset(aux.arm_indices(arm)), arm, grid, spec,
+        g = {arm: fit_smoothed_outcome(aux.subset(aux.arm_indices(arm)), arm, spec,
                                        g_learner, g_hyper) for arm in (1, 0)}
         return FoldNuisance(pi=pi, g1=g[1], g0=g[0])
 
-    return NuisanceBundle(folds=tuple(_in_order(fold, range(partition.K))), grid=grid, spec=spec)
+    return NuisanceBundle(folds=tuple(_in_order(fold, range(partition.K))), spec=spec)
 
 
 def _arm_terms(d, pi, arm):
@@ -146,55 +145,53 @@ def orthogonal_score(z, y, eta, arm, spec: KernelSpec, order=0):
     return _score(d_a, p_a, r_a, scaled_kernel(spec, y - y_obs, order), g_value)
 
 
-def _canonical_fold_order(partition: FoldPartition):
-    """Fold labels ordered by their smallest member index.
-
-    Reductions over folds always run in this order, so relabeling folds
-    (keeping the same index sets) cannot change any output bit.
-    """
-    mins = [partition.indices(k).min() for k in range(partition.K)]
-    return np.argsort(np.asarray(mins), kind="stable")
-
-
 def _arm_fits(sample, partition, bundle, spec, arms=(1, 0)):
-    """The cross-fitted score of each arm as a :class:`KernelArmFit`.
+    """The cross-fitted score of each arm as a :class:`KernelArmFit` over the
+    arm's rows, in sample order.
 
     Both outcome learners are linear smoothers of the kernel targets, so
     fold ``k``'s mean score at ``y`` is one weighted kernel sum: weight
     ``1 / p_a`` on each of the fold's own rows in the arm, and
     ``-row_weights(x_k, r_a / p_a)`` on the rows of the fold's outcome fit,
-    all divided by the fold size ``n_k``.  The variance row takes
-    ``1 / p_a**2`` and ``2 r_a / p_a**2`` in their place.  Each fold
-    predicts its propensities once and forms both arms' weights as one pool
-    task.  The folds' weights are merged in canonical fold order, and every
-    sum is divided by K, so fold labels and the thread count leave no trace
-    in the bits.  Weights of equal outcomes are added: an outcome fit may be
-    trained on any rows, and rows with one outcome value have one kernel.
+    the arm's rows outside fold ``k`` (a fit with another number of rows
+    raises :class:`ConfigurationError`), all divided by the fold size
+    ``n_k``.  The variance row takes ``1 / p_a**2`` and ``2 r_a / p_a**2``
+    in their place.  Each fold predicts its propensities once and forms both
+    arms' weights as one pool task.  The weights are added by row position,
+    fold by fold in canonical order (by smallest row index), and every sum
+    is divided by K, so fold labels and the thread count leave no trace in
+    the bits.
     """
+    rows = {arm: sample.arm_indices(arm) for arm in arms}
+
     def fold(k):
         idx = partition.indices(k)
         rec = bundle.folds[k]
-        x, y = sample.x[idx], sample.y[idx]
+        x = sample.x[idx]
         pi = np.asarray(rec.pi.predict_clipped(x), dtype=float)
         d = sample.d[idx].astype(float)
         parts = {}
         for arm in arms:
             d_a, p_a, r_a = _arm_terms(d, pi, arm)
-            g_fit = rec.g1 if arm == 1 else rec.g0
-            own = d_a == 1.0
-            u = g_fit.row_weights(x, np.column_stack([r_a / p_a, 2.0 * r_a / p_a ** 2]))
-            w = np.concatenate([np.column_stack([1.0 / p_a[own], 1.0 / p_a[own] ** 2]), -u])
-            parts[arm] = np.concatenate([y[own], g_fit.y]), w / idx.size
+            aux = partition.assignments[rows[arm]] != k
+            u = (rec.g1 if arm == 1 else rec.g0).row_weights(
+                x, np.column_stack([r_a / p_a, 2.0 * r_a / p_a ** 2]))
+            if u.shape[0] != np.count_nonzero(aux):
+                raise ConfigurationError(f"arm-{arm} outcome fit of fold {k} was not trained on "
+                                         f"the fold's auxiliary arm-{arm} rows")
+            p_own = p_a[d_a == 1.0]
+            own = np.stack([1.0 / p_own, 1.0 / p_own ** 2])
+            parts[arm] = aux, own / idx.size, u.T / idx.size
         return parts
 
-    folds = list(_in_order(fold, _canonical_fold_order(partition)))
-    fits = {}
-    for arm in arms:
-        y, at = np.unique(np.concatenate([f[arm][0] for f in folds]), return_inverse=True)
-        w = np.concatenate([f[arm][1] for f in folds])
-        c, c_var = (np.bincount(at, weights=col, minlength=y.size) for col in w.T)
-        fits[arm] = KernelArmFit(y, c, c_var, spec, partition.K)
-    return fits
+    c = {arm: np.zeros((2, r.size)) for arm, r in rows.items()}
+    first = [partition.indices(k).min() for k in range(partition.K)]
+    for parts in _in_order(fold, np.argsort(first, kind="stable")):
+        for arm, (aux, own, fit) in parts.items():
+            c[arm][:, ~aux] += own
+            c[arm][:, aux] -= fit
+    return {arm: KernelArmFit(sample.y[rows[arm]], c[arm][0], c[arm][1], spec, partition.K)
+            for arm in arms}
 
 
 def _check_bundle(partition, bundle, spec):
@@ -214,8 +211,6 @@ def dml_density_curve(sample: Sample, partition: FoldPartition, bundle: Nuisance
     negative (the orthogonal correction); they are recorded as-is.
     """
     grid = np.asarray(grid, dtype=float)
-    if not np.array_equal(grid, bundle.grid):
-        raise ConfigurationError("query grid does not match the grid the nuisances were fitted on")
     _check_bundle(partition, bundle, spec)
     fit = _arm_fits(sample, partition, bundle, spec, arms=(arm,))[arm]
     return DensityCurve(grid=grid, values=fit.curve(grid, order), arm=arm, order=order, spec=spec)
@@ -270,19 +265,15 @@ def estimate_dml_mte(sample: Sample, config: DMLConfig | None = None) -> MTEResu
     config = config or DMLConfig()
     if config.folds < 2:
         raise ValueError(f"cross-fitting needs at least 2 folds, got {config.folds}")
-    std_sample, spec, grid = _prepare(sample, config.family, config.bandwidth, config.grid,
-                                      config.grid_points, config.alpha, DML_METHOD,
-                                      _DML_SCALE_MULT)
+    std_sample, spec = _prepare(sample, config.family, config.bandwidth, config.alpha,
+                                DML_METHOD, _DML_SCALE_MULT)
     n = std_sample.n
 
     # First attempt plus up to _MAX_RESEEDS re-seeds.
     for reseeds in range(_MAX_RESEEDS + 1):
         partition = make_folds(n, config.folds, config.seed + reseeds)
-        if all(
-            std_sample.d[partition.complement(k)].min() == 0
-            and std_sample.d[partition.complement(k)].max() == 1
-            for k in range(config.folds)
-        ):
+        # Both arms in every auxiliary sample: its treatments span 0 to 1.
+        if all(np.ptp(std_sample.d[partition.complement(k)]) == 1 for k in range(config.folds)):
             break
     else:
         raise StratificationError(
@@ -290,13 +281,14 @@ def estimate_dml_mte(sample: Sample, config: DMLConfig | None = None) -> MTEResu
             "stratified folds would be needed"
         )
 
-    bundle = fit_nuisances(std_sample, partition, spec, grid,
+    bundle = fit_nuisances(std_sample, partition, spec,
                            pi_learner=config.pi_learner, g_learner=config.g_learner,
                            pi_hyper=config.pi_hyper, g_hyper=config.g_hyper,
                            kappa=config.kappa)
-    return estimate_from_fits(_arm_fits(std_sample, partition, bundle, spec), grid, spec,
-                              n=n, method=DML_METHOD, alpha=config.alpha,
-                              folds=config.folds, fold_reseeds=reseeds)
+    return estimate_from_fits(_arm_fits(std_sample, partition, bundle, spec), spec, n=n,
+                              method=DML_METHOD, alpha=config.alpha, grid=config.grid,
+                              grid_points=config.grid_points, folds=config.folds,
+                              fold_reseeds=reseeds)
 
 
 @dataclass(frozen=True)

@@ -107,11 +107,20 @@ class KernelConstants:
                 raise ValueError(f"{name} must be strictly positive and finite, got {v!r}")
 
 
+def _kernel_scale(h, order):
+    """``h**-(1+order)``; a ValueError where it overflows a double."""
+    try:
+        return float(h) ** -(1 + order)
+    except OverflowError:
+        raise ValueError(f"bandwidth {h!r} is too small: h**-{1 + order} overflows") from None
+
+
 def scaled_kernel(spec: KernelSpec, diff, order=0):
-    """Bandwidth-scaled kernel ``h**-(1+order) * K_order(diff / h)``."""
-    return eval_kernel(spec.family, np.asarray(diff, dtype=float) / spec.h, order) * spec.h ** (
-        -(1 + order)
-    )
+    """Bandwidth-scaled kernel ``h**-(1+order) * K_order(diff / h)``; a
+    ``diff / h`` beyond a double is infinite, and its order-0 kernel 0."""
+    scale = _kernel_scale(spec.h, order)
+    with np.errstate(over="ignore"):
+        return eval_kernel(spec.family, np.asarray(diff, dtype=float) / spec.h, order) * scale
 
 
 def product_kernel(spec: KernelSpec, diff_vector):

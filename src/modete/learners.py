@@ -1,12 +1,13 @@
 """First-step learners for the cross-fitted route: the propensity score and
-the smoothed-outcome regressions fitted jointly over an outcome grid.
+the smoothed-outcome regressions, which hold no outcome grid.
 
-The smoothed-outcome target for observation ``i`` at grid point ``y_j`` and
-derivative order ``s`` is the scaled kernel ``K_h^(s)(y_j - y_i)``, fitted on
-one treatment arm only.  Ridge solves every (grid point, order) target
-against one Cholesky factor of the design's Gram matrix; KNN averages
+The smoothed-outcome target for observation ``i`` at an outcome point ``y``
+and derivative order ``s`` is the scaled kernel ``K_h^(s)(y - y_i)``, fitted
+on one treatment arm only.  A fit is a function of ``y``: it is evaluated on
+whatever points a query names.  Ridge solves every (outcome point, order)
+target against one Cholesky factor of the design's Gram matrix; KNN averages
 targets over neighbors.  Both are linear in the targets, so a weighted sum
-of predictions is a weighted kernel sum over the fit's own outcomes
+of predictions is a weighted kernel sum over the fit's own rows
 (:attr:`SmoothedOutcomeFit.row_weights`), which is how the cross-fitted
 route reads them.
 
@@ -125,12 +126,12 @@ def _fit_logistic(x, d, hyper):
         slack = 1e-10 * max(1.0, abs(obj))
         t = 1.0
         for _ in range(40):
-            cand_obj = objective(beta - t * step)
+            cand = beta - t * step
+            cand_obj = objective(cand)
             if cand_obj <= obj + slack:
                 break
             t *= 0.5
-        beta = beta - t * step
-        obj = objective(beta)
+        beta, obj = cand, cand_obj
     else:
         raise ConvergenceError("logistic propensity fit did not converge", max_iter)
 
@@ -219,10 +220,9 @@ class _Neighbors:
 
 def _fit_knn_propensity(x, d, hyper):
     index = _Neighbors(x, hyper)
-    labels = d.astype(float)
 
     def predict(xq):
-        return index.average(labels, xq)
+        return index.average(d, xq)
 
     return predict
 
@@ -233,8 +233,7 @@ def _fit_kernel_propensity(x, d, hyper):
     mu, sd = _standardizer(x)
     train = _scaled_columns((x - mu) / sd, spec)
     floor = _mass_floor(spec, dim)
-    labels = d.astype(float)
-    fallback = float(labels.mean())
+    fallback = float(d.mean())
     step = _block_rows(n)
 
     def predict(xq):
@@ -246,7 +245,7 @@ def _fit_kernel_propensity(x, d, hyper):
         for s in range(0, zq.shape[1], step):
             w = _product_weights_block(zq[:, s:s + step], train, spec.family)
             den = w.sum(axis=1)
-            num = w @ labels
+            num = w @ d
             ok = den > floor
             out[s:s + step][ok] = num[ok] / den[ok]
         return out
@@ -263,47 +262,43 @@ def fit_propensity(subset: Sample, learner="logistic", hyper=None, clip_kappa=0.
     hyper = dict(hyper or {})
     if subset.arm_count(1) == 0 or subset.arm_count(0) == 0:
         raise NoOverlapError("propensity fitting needs both treatment arms in the subset")
-    d = subset.d.astype(float)
-    if learner == "logistic":
-        predict = _fit_logistic(subset.x, d, hyper)
-    elif learner == "knn":
-        predict = _fit_knn_propensity(subset.x, subset.d, hyper)
-    elif learner == "kernel":
-        predict = _fit_kernel_propensity(subset.x, subset.d, hyper)
-    else:
+    fit = {"logistic": _fit_logistic, "knn": _fit_knn_propensity,
+           "kernel": _fit_kernel_propensity}.get(learner)
+    if fit is None:
         raise ValueError(f"unknown propensity learner {learner!r}")
-    return PropensityFit(predict=predict, learner_id=learner, clip_kappa=clip_kappa)
+    return PropensityFit(predict=fit(subset.x, subset.d.astype(float), hyper), learner_id=learner,
+                         clip_kappa=clip_kappa)
 
 
 @dataclass(frozen=True)
 class SmoothedOutcomeFit:
-    """Grid-indexed regressions of smoothed-outcome targets on covariates.
+    """Regressions of smoothed-outcome targets on covariates, at any outcome point.
 
-    The fit is restricted to observations of a single arm, whose outcomes
-    are ``y``.  ``predict_grid(X, order, cols=None)`` returns a (k, n_cols)
-    block of fitted values; :meth:`predict` one of them.  Both learners are
-    linear smoothers of the kernel targets, so ``row_weights(X, w)`` gives
-    weights ``u`` over the fit's rows with ``w @ predict_grid(X, order)[:, j]
-    == sum_t u_t K_h^(order)(grid[j] - y_t)`` for every order and column;
-    ``w`` has shape (k,) or (k, c), and ``u`` then (len(y),) or (len(y), c).
+    The fit is restricted to observations of a single arm.
+    ``predict_grid(X, grid, order=0)`` returns the (k, grid.size) block of
+    fitted conditional means of ``K_h^(order)(grid[j] - Y)`` at the rows of
+    ``X``; :meth:`predict` one of them.  Both learners are linear smoothers
+    of the kernel targets, so ``row_weights(X, w)`` gives weights ``u`` over
+    the fit's training rows, in their order, with
+    ``w @ predict_grid(X, grid, order)[:, j] == sum_t u_t K_h^(order)(grid[j] - y_t)``
+    for every order and outcome point; ``w`` has shape (k,) or (k, c), and
+    ``u`` then (rows,) or (rows, c).
     """
 
-    grid: np.ndarray
     arm: int
     spec: KernelSpec
     learner_id: str
-    y: np.ndarray
     predict_grid: Callable
     row_weights: Callable
 
-    def predict(self, x, grid_index, order=0):
-        """One fitted value, at covariate point ``x`` and grid column ``grid_index``."""
-        block = self.predict_grid(np.atleast_2d(np.asarray(x, dtype=float)), order,
-                                  cols=[grid_index])
+    def predict(self, x, y, order=0):
+        """One fitted value, at covariate point ``x`` and outcome point ``y``."""
+        block = self.predict_grid(np.atleast_2d(np.asarray(x, dtype=float)), np.array([y], float),
+                                  order)
         return float(block[0, 0])
 
 
-def _fit_ridge_outcome(x, y, grid, spec, hyper):
+def _fit_ridge_outcome(x, y, spec, hyper):
     n, dim = x.shape
     lam = hyper.get("l2", 1e-4 * n)
     a = _design(x)
@@ -311,8 +306,8 @@ def _fit_ridge_outcome(x, y, grid, spec, hyper):
     pen[1:] = lam
     chol = cho_factor(a.T @ a + np.diag(pen), lower=True)
 
-    def predict_grid(xq, order, cols=None):
-        rhs = _kernel_sums(spec, grid if cols is None else grid[cols], y, a, order).T
+    def predict_grid(xq, grid, order=0):
+        rhs = _kernel_sums(spec, np.asarray(grid, dtype=float), y, a, order).T
         return _design(np.atleast_2d(np.asarray(xq, dtype=float))) @ cho_solve(chol, rhs)
 
     def row_weights(xq, w):
@@ -321,12 +316,11 @@ def _fit_ridge_outcome(x, y, grid, spec, hyper):
     return predict_grid, row_weights
 
 
-def _fit_knn_outcome(x, y, grid, spec, hyper):
+def _fit_knn_outcome(x, y, spec, hyper):
     index = _Neighbors(x, hyper)
 
-    def predict_grid(xq, order, cols=None):
-        cols_grid = grid if cols is None else grid[cols]
-        targets = scaled_kernel(spec, cols_grid[None, :] - y[:, None], order)
+    def predict_grid(xq, grid, order=0):
+        targets = scaled_kernel(spec, np.asarray(grid, dtype=float)[None, :] - y[:, None], order)
         return index.average(targets, xq)
 
     def row_weights(xq, w):
@@ -339,28 +333,22 @@ def _fit_knn_outcome(x, y, grid, spec, hyper):
     return predict_grid, row_weights
 
 
-def fit_smoothed_outcome(subset: Sample, arm, grid, spec: KernelSpec,
-                         learner="ridge", hyper=None):
-    """Fit the arm-restricted smoothed-outcome regressions over a grid.
+def fit_smoothed_outcome(subset: Sample, arm, spec: KernelSpec, learner="ridge", hyper=None):
+    """Fit the arm-restricted smoothed-outcome regressions.
 
-    ``subset`` must already be restricted to the requested arm.  All grid
+    ``subset`` must already be restricted to the requested arm.  All outcome
     points and derivative orders share one factorization of the design's
     Gram matrix (ridge) or one neighbor structure (KNN); the targets differ,
     the design does not.
     """
     hyper = dict(hyper or {})
-    grid = np.asarray(grid, dtype=float)
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
     if subset.arm_count(arm) == 0:
         raise NoDataError(f"smoothed-outcome fit received no arm-{arm} observations")
     if not np.all(subset.d == arm):
         raise ValueError(f"subset must contain only arm-{arm} observations")
-    if learner == "ridge":
-        predict_grid, row_weights = _fit_ridge_outcome(subset.x, subset.y, grid, spec, hyper)
-    elif learner == "knn":
-        predict_grid, row_weights = _fit_knn_outcome(subset.x, subset.y, grid, spec, hyper)
-    else:
+    fit = {"ridge": _fit_ridge_outcome, "knn": _fit_knn_outcome}.get(learner)
+    if fit is None:
         raise ValueError(f"unknown smoothed-outcome learner {learner!r}")
-    return SmoothedOutcomeFit(grid=grid, arm=arm, spec=spec, learner_id=learner, y=subset.y,
+    predict_grid, row_weights = fit(subset.x, subset.y, spec, hyper)
+    return SmoothedOutcomeFit(arm=arm, spec=spec, learner_id=learner,
                               predict_grid=predict_grid, row_weights=row_weights)

@@ -6,7 +6,9 @@ import math
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 
-from .density import DensityCurve, _scan_curve
+import numpy as np
+
+from .density import DensityCurve, _scan_curve, default_grid
 from .modes import FLAT_CURVE, MODE_AT_GRID_EDGE, curve_shape_flags, mode_of_curve
 
 SCHEMA_VERSION = "1"  # of the CLI record and the Monte Carlo report
@@ -98,13 +100,16 @@ def build_result(theta1, theta0, m1_hat, m0_hat, v1_hat, v0_hat, n, h, method,
     )
 
 
-def estimate_from_fits(fits, grid, spec, *, n, method, alpha, folds=None, fold_reseeds=0):
+def estimate_from_fits(fits, spec, *, n, method, alpha, grid=None, grid_points=512, folds=None,
+                       fold_reseeds=0):
     """The part both routes share once each arm is fitted.
 
     ``fits`` maps each arm to a :class:`~modete.density.KernelArmFit`, which
     both routes build: the kernel route from its covariate-weight pass, the
-    cross-fitted route from its folds' score weights.  Each
-    arm's order-0 curve is searched for its mode (refined with the exact
+    cross-fitted route from its folds' score weights.  The grid is chosen
+    here alone: without ``grid``, :func:`~modete.density.default_grid` over
+    both fits' outcomes, which on both routes are every row's.  Each arm's
+    order-0 curve is searched for its mode (refined with the exact
     order-0 value, with the order-1 value as the first-order-condition
     residual); the sandwich components are taken at the modes, and the
     curves' shape flags go into the diagnostics.
@@ -117,6 +122,9 @@ def estimate_from_fits(fits, grid, spec, *, n, method, alpha, folds=None, fold_r
     modes, components and intervals are too; a flag read from the curves
     can differ only where a value lies within ``eps`` of its threshold.
     """
+    if grid is None:
+        grid = default_grid(np.concatenate([fit.y for fit in fits.values()]), spec.h, grid_points)
+    grid = np.asarray(grid, dtype=float)
     curves, theta = {}, {}
     for arm, fit in fits.items():
         curves[arm] = DensityCurve(grid=grid, values=_scan_curve(fit, grid), arm=arm, order=0,

@@ -160,6 +160,20 @@ class TestCmdEstimate:
         assert err["error"]["type"] == "NoOverlapError"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("h", ["1e-200", "1e-320"])
+    def test_extreme_dml_bandwidth_is_a_structured_error(self, sample_csv, capsys, h):
+        """A bandwidth whose kernel scale overflows a double exits 2 with the
+        error on stderr as JSON, not with a traceback."""
+        path, _ = sample_csv
+        code = main(["estimate", "--input", path, "--y", "y", "--d", "d", "--x", "x0",
+                     "--method", "dml", "--bandwidth", h])
+        captured = capsys.readouterr()
+        assert code == EXIT_ESTIMATION == 2
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "ValueError"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_table_output(self, sample_csv, capsys):
         path, _ = sample_csv
         code = main(["estimate", "--input", path, "--y", "y", "--d", "d", "--x", "x0",

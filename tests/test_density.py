@@ -240,7 +240,7 @@ def test_kernel_sums_of_a_far_outcome_are_zero():
     grid = np.linspace(-1.0, 1.0, 5)
     with np.errstate(over="ignore", under="ignore"):
         want = m.scaled_kernel(spec, grid[:, None] - y[None, :], 0) @ np.ones(2)
-        got = _kernel_sums(spec, grid, y, np.ones(2))
+    got = _kernel_sums(spec, grid, y, np.ones(2))
     assert np.array_equal(got, want)
 
 

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from modete.dml import FoldNuisance, NuisanceBundle
 from conftest import cli_estimate, usable_cpus, write_csv
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
+LEARNERS = [("logistic", "ridge"), ("knn", "knn")]
 
 
 def constant_propensity_fit(value, kappa=0.0):
@@ -21,7 +23,7 @@ def constant_propensity_fit(value, kappa=0.0):
                            learner_id="oracle", clip_kappa=kappa)
 
 
-def nw_outcome_fit(aux, arm, grid, spec):
+def nw_outcome_fit(aux, arm, spec):
     """Locally weighted (ratio) smoothed-outcome fit, for cross-route checks."""
     sub = aux.subset(aux.arm_indices(arm))
 
@@ -30,15 +32,14 @@ def nw_outcome_fit(aux, arm, grid, spec):
         w = m.product_kernel(spec, xq[:, None, :] - sub.x[None, :, :])
         return w / w.sum(axis=1, keepdims=True)
 
-    def predict_grid(xq, order, cols=None):
-        cols_grid = grid if cols is None else grid[cols]
-        return weights(xq) @ m.scaled_kernel(spec, cols_grid[None, :] - sub.y[:, None], order)
+    def predict_grid(xq, grid, order=0):
+        return weights(xq) @ m.scaled_kernel(spec, grid[None, :] - sub.y[:, None], order)
 
     def row_weights(xq, w):
         return weights(xq).T @ w
 
-    return m.SmoothedOutcomeFit(grid=grid, arm=arm, spec=spec, learner_id="nw", y=sub.y,
-                                predict_grid=predict_grid, row_weights=row_weights)
+    return m.SmoothedOutcomeFit(arm=arm, spec=spec, learner_id="nw", predict_grid=predict_grid,
+                                row_weights=row_weights)
 
 
 def duplicated_arms_sample(n=60, seed=0):
@@ -109,10 +110,6 @@ class TestOrthogonalScore:
             m.orthogonal_score((0.0, 0, [0.0]), 0.0, (1.0, 0.1), 0, self.SPEC)
 
 
-def small_bundle(sample, partition, spec, grid, **kw):
-    return m.fit_nuisances(sample, partition, spec, grid, **kw)
-
-
 class TestDmlDensityCurve:
     def test_all_treated_with_unit_propensity_is_plain_average(self):
         rng = np.random.default_rng(1)
@@ -121,11 +118,11 @@ class TestDmlDensityCurve:
         spec = m.KernelSpec(m.GAUSSIAN, 0.5)
         grid = np.linspace(-3, 3, 61)
         part = m.make_folds(40, 4, seed=0)
-        g1 = m.fit_smoothed_outcome(s, 1, grid, spec, learner="ridge")
-        folds = tuple(
-            FoldNuisance(pi=constant_propensity_fit(1.0), g1=g1, g0=g1) for _ in range(4)
-        )
-        bundle = NuisanceBundle(folds=folds, grid=grid, spec=spec)
+        folds = []
+        for k in range(4):
+            g1 = m.fit_smoothed_outcome(s.subset(part.complement(k)), 1, spec, learner="ridge")
+            folds.append(FoldNuisance(pi=constant_propensity_fit(1.0), g1=g1, g0=g1))
+        bundle = NuisanceBundle(folds=tuple(folds), spec=spec)
         curve = m.dml_density_curve(s, part, bundle, spec, grid, arm=1)
         plain = np.mean(m.scaled_kernel(spec, grid[:, None] - y[None, :], 0), axis=1)
         assert np.max(np.abs(curve.values - plain)) <= 1e-12
@@ -138,12 +135,12 @@ class TestDmlDensityCurve:
         folds = []
         for k in range(4):
             aux = s.subset(part.complement(k))
-            g1 = m.fit_smoothed_outcome(aux.subset(aux.arm_indices(1)), 1, grid, spec,
+            g1 = m.fit_smoothed_outcome(aux.subset(aux.arm_indices(1)), 1, spec,
                                         learner="knn", hyper={"k": 10 ** 9})
-            g0 = m.fit_smoothed_outcome(aux.subset(aux.arm_indices(0)), 0, grid, spec,
+            g0 = m.fit_smoothed_outcome(aux.subset(aux.arm_indices(0)), 0, spec,
                                         learner="knn", hyper={"k": 10 ** 9})
             folds.append(FoldNuisance(pi=constant_propensity_fit(0.5), g1=g1, g0=g0))
-        bundle = NuisanceBundle(folds=tuple(folds), grid=grid, spec=spec)
+        bundle = NuisanceBundle(folds=tuple(folds), spec=spec)
         c1 = m.dml_density_curve(s, part, bundle, spec, grid, arm=1)
         c0 = m.dml_density_curve(s, part, bundle, spec, grid, arm=0)
         assert np.max(np.abs(c1.values - c0.values)) <= 1e-10
@@ -157,9 +154,13 @@ class TestDmlDensityCurve:
         spec = m.KernelSpec(m.GAUSSIAN, 0.4)
         grid = np.linspace(0.1, 4.0, 33)
         part = m.make_folds(s.n, 3, seed=1)
-        bundle = small_bundle(s, part, spec, grid)
+        bundle = m.fit_nuisances(s, part, spec)
+        # Outcome fits trained on every arm-1 row, not on each fold's auxiliary ones.
+        everywhere = m.fit_smoothed_outcome(s.subset(s.arm_indices(1)), 1, spec)
+        foreign = NuisanceBundle(folds=tuple(FoldNuisance(pi=f.pi, g1=everywhere, g0=f.g0)
+                                             for f in bundle.folds), spec=spec)
         with pytest.raises(m.ConfigurationError):
-            m.dml_density_curve(s, part, bundle, spec, grid + 0.1, arm=1)
+            m.dml_density_curve(s, part, foreign, spec, grid, arm=1)
         with pytest.raises(m.ConfigurationError):
             m.dml_density_curve(s, part, bundle, m.KernelSpec(m.GAUSSIAN, 0.5), grid, arm=1)
         with pytest.raises(m.ConfigurationError):
@@ -171,7 +172,7 @@ class TestDmlDensityCurve:
         sample, _ = m.standardize_covariates(m.generate(lognormal_plain, 400, seed=0))
         spec = m.KernelSpec(m.GAUSSIAN, 0.4)
         part = m.make_folds(sample.n, 5, seed=0)
-        bundle = m.fit_nuisances(sample, part, spec, m.default_grid(sample.y, spec.h))
+        bundle = m.fit_nuisances(sample, part, spec)
         assert all(map(math.isfinite, m.dml_variance_components(sample, part, bundle, spec,
                                                                 1.0, 1.0)))
         with pytest.raises(m.ConfigurationError):
@@ -195,7 +196,7 @@ class TestDmlDensityCurve:
         step = h / 50.0
         grid = np.arange(0.3, 2.3, step)
         part = m.make_folds(std.n, 5, seed=2)
-        bundle = small_bundle(std, part, spec, grid)
+        bundle = m.fit_nuisances(std, part, spec)
         c0 = m.dml_density_curve(std, part, bundle, spec, grid, arm=1, order=0)
         c1 = m.dml_density_curve(std, part, bundle, spec, grid, arm=1, order=1)
         fd = (c0.values[2:] - c0.values[:-2]) / (2.0 * step)
@@ -209,7 +210,7 @@ class TestEstimateDmlMTE:
         spec = m.KernelSpec(m.GAUSSIAN, 0.35)
         grid = np.linspace(0.05, 4.5, 121)
         part = mirrored_partition(50, 5)
-        bundle = small_bundle(s, part, spec, grid)
+        bundle = m.fit_nuisances(s, part, spec)
         c1 = m.dml_density_curve(s, part, bundle, spec, grid, arm=1)
         c0 = m.dml_density_curve(s, part, bundle, spec, grid, arm=0)
         t1 = m.mode_of_curve(c1)
@@ -236,8 +237,8 @@ class TestEstimateDmlMTE:
             part = m.make_folds(s.n, K, seed=4)
             relabeled = m.FoldPartition(assignments=np.array(perm)[part.assignments], K=K,
                                         seed=4)
-            bundle_a = small_bundle(s, part, spec, grid)
-            bundle_b = small_bundle(s, relabeled, spec, grid)
+            bundle_a = m.fit_nuisances(s, part, spec)
+            bundle_b = m.fit_nuisances(s, relabeled, spec)
             ca = m.dml_density_curve(s, part, bundle_a, spec, grid, arm=1)
             cb = m.dml_density_curve(s, relabeled, bundle_b, spec, grid, arm=1)
             assert np.array_equal(ca.values, cb.values)
@@ -288,6 +289,28 @@ class TestEstimateDmlMTE:
             neg += res.m1_hat < 0
         assert neg >= 19
 
+    @pytest.mark.parametrize("family", [m.GAUSSIAN, m.EPANECHNIKOV])
+    @pytest.mark.parametrize("pi_learner, g_learner", LEARNERS, ids=["ridge", "knn"])
+    @pytest.mark.parametrize("h", [1e-320, 1e-200, 1e-100, 1e-5])
+    def test_extreme_bandwidth_raises_only_a_typed_error(self, h, pi_learner, g_learner,
+                                                         family, dgps):
+        """Far below the outcomes' spacing, the estimate is a flagged result
+        while the kernels' scales ``h**-(1 + order)`` (orders 0-2) are
+        doubles, and a ValueError once one of them overflows (the mode
+        search needs order 1, the components order 2); never an overflow
+        of the squared distances, a division by zero, or a numpy warning."""
+        sample = m.generate(dgps["skew-mixture"], 400, seed=1)
+        cfg = m.DMLConfig(bandwidth=h, family=family, pi_learner=pi_learner, g_learner=g_learner)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", m.CurveShapeWarning)
+            if h < 1e-154:  # h**-2 overflows a double
+                with pytest.raises(ValueError, match="too small"):
+                    m.estimate_dml_mte(sample, cfg)
+                return
+            res = m.estimate_dml_mte(sample, cfg)
+        assert res.diagnostics.mode_at_grid_edge and res.diagnostics.m_hat_sign
+
     def test_reports_fold_metadata(self, lognormal_plain):
         sample = m.generate(lognormal_plain, 300, seed=13)
         res = m.estimate_dml_mte(sample, m.DMLConfig(folds=3, seed=1))
@@ -302,19 +325,19 @@ def test_fold_nuisances_use_only_auxiliary_data(lognormal_selection):
     spec = m.KernelSpec(m.GAUSSIAN, 0.3)
     grid = np.linspace(0.05, 4.0, 33)
     part = m.make_folds(sample.n, 4, seed=2)
-    bundle = m.fit_nuisances(sample, part, spec, grid)
+    bundle = m.fit_nuisances(sample, part, spec)
     k = 1
     y2 = sample.y.copy()
     y2[part.indices(k)] += 5.0
-    bundle2 = m.fit_nuisances(m.Sample(y2, sample.d, sample.x), part, spec, grid)
+    bundle2 = m.fit_nuisances(m.Sample(y2, sample.d, sample.x), part, spec)
     xq = sample.x[:6]
     assert np.array_equal(bundle.folds[k].pi.predict(xq), bundle2.folds[k].pi.predict(xq))
-    assert np.array_equal(bundle.folds[k].g1.predict_grid(xq, 0),
-                          bundle2.folds[k].g1.predict_grid(xq, 0))
+    assert np.array_equal(bundle.folds[k].g1.predict_grid(xq, grid),
+                          bundle2.folds[k].g1.predict_grid(xq, grid))
     # The complementary folds do change (the perturbed points sit in their aux).
     other = 0
-    assert not np.array_equal(bundle.folds[other].g1.predict_grid(xq, 0),
-                              bundle2.folds[other].g1.predict_grid(xq, 0))
+    assert not np.array_equal(bundle.folds[other].g1.predict_grid(xq, grid),
+                              bundle2.folds[other].g1.predict_grid(xq, grid))
 
 
 class TestFoldSumsMatchRefits:
@@ -323,7 +346,7 @@ class TestFoldSumsMatchRefits:
     over the fold's rows, one (rows, grid) matrix per fold."""
 
     @staticmethod
-    def oracle(sample, part, spec, grid, learner):
+    def oracle(sample, part, spec, learner):
         """Per fold: the arm's score terms and its outcome fit, per arm."""
         folds = []
         for k in range(part.K):
@@ -332,8 +355,8 @@ class TestFoldSumsMatchRefits:
             pi = m.fit_propensity(aux).predict_clipped(sample.x[idx])
             d = sample.d[idx].astype(float)
             terms = {1: (d, pi, d - pi), 0: (1.0 - d, 1.0 - pi, pi - d)}
-            fits = {arm: m.fit_smoothed_outcome(aux.subset(aux.arm_indices(arm)), arm, grid,
-                                                spec, learner=learner) for arm in (1, 0)}
+            fits = {arm: m.fit_smoothed_outcome(aux.subset(aux.arm_indices(arm)), arm, spec,
+                                                learner=learner) for arm in (1, 0)}
             folds.append((idx, terms, fits))
         return folds
 
@@ -344,10 +367,10 @@ class TestFoldSumsMatchRefits:
         kv = m.scaled_kernel(spec, y[None, :] - sample.y[idx, None], order)
         return d_a * kv / p_a - r_a / p_a * g
 
-    def mean_score(self, sample, folds, spec, arm, order, y, g_of):
+    def mean_score(self, sample, folds, spec, arm, order, y):
         """Fold-averaged mean score at outcome points ``y``."""
         return sum(self.scores(sample, idx, terms[arm], spec, order, y,
-                               g_of(fits[arm], sample.x[idx], order)).mean(axis=0)
+                               fits[arm].predict_grid(sample.x[idx], y, order)).mean(axis=0)
                    for idx, terms, fits in folds) / len(folds)
 
     @pytest.mark.parametrize("K", [2, 3, 5])
@@ -358,47 +381,56 @@ class TestFoldSumsMatchRefits:
         spec = m.KernelSpec(family, 0.5)
         grid = m.default_grid(sample.y, spec.h, 48)
         part = m.make_folds(sample.n, K, seed=1)
-        bundle = m.fit_nuisances(sample, part, spec, grid, g_learner=learner)
-        folds = self.oracle(sample, part, spec, grid, learner)
+        bundle = m.fit_nuisances(sample, part, spec, g_learner=learner)
+        folds = self.oracle(sample, part, spec, learner)
         for arm in (1, 0):
             for order in (0, 1, 2):
                 got = m.dml_density_curve(sample, part, bundle, spec, grid, arm, order).values
-                want = self.mean_score(sample, folds, spec, arm, order, grid,
-                                       lambda fit, x, s: fit.predict_grid(x, s))
+                want = self.mean_score(sample, folds, spec, arm, order, grid)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # The oracle's score is the public scalar one.
         idx, terms, fits = folds[0]
         x = sample.x[idx]
         for arm, i, j in ((1, 0, 20), (0, 1, 25)):
-            table = self.scores(sample, idx, terms[arm], spec, 0, grid, fits[arm].predict_grid(x, 0))
+            table = self.scores(sample, idx, terms[arm], spec, 0, grid,
+                                fits[arm].predict_grid(x, grid, 0))
             z = (sample.y[idx[i]], sample.d[idx[i]], x[i])
-            eta = (terms[1][1][i], fits[arm].predict(x[i], j))
+            eta = (terms[1][1][i], fits[arm].predict(x[i], grid[j]))
             assert table[i, j] == pytest.approx(m.orthogonal_score(z, grid[j], eta, arm, spec),
                                                 rel=1e-14)
 
-        # Off the grid, g is evaluated exactly: refits on a grid holding theta
-        # as its only column give the column that a grid holding theta would
-        # (each smoother column is fitted on its own).
+        # Off the grid, g is evaluated exactly at theta.
         theta = {1: 1.013, 0: 0.687}
         assert not set(theta.values()) & set(grid)
         want = {}
         for arm, th in theta.items():
-            at_theta = self.oracle(sample, part, spec, np.array([th]), learner)
-            m_hat = self.mean_score(sample, at_theta, spec, arm, 2, np.array([th]),
-                                    lambda fit, x, s: fit.predict_grid(x, s))[0]
+            m_hat = self.mean_score(sample, folds, spec, arm, 2, np.array([th]))[0]
             v_sum = 0.0
-            for idx, terms, fits in at_theta:
+            for idx, terms, fits in folds:
                 d_a, p_a, r_a = terms[arm]
                 kv = m.scaled_kernel(spec, th - sample.y[idx], 0)
-                g = fits[arm].predict_grid(sample.x[idx], 0)[:, 0]
+                g = fits[arm].predict_grid(sample.x[idx], np.array([th]), 0)[:, 0]
                 v_sum += np.mean(d_a * kv / p_a ** 2 - 2.0 * r_a / p_a ** 2 * g)
             want[arm] = (m_hat, m.kernel_constants(family).kappa0_1 * v_sum / K)
         got = m.dml_variance_components(sample, part, bundle, spec, theta[1], theta[0])
         for g, w in zip(got, (want[1][0], want[0][0], want[1][1], want[0][1])):
             assert g == pytest.approx(w, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("learner", ["ridge", "knn"])
+    def test_one_bundle_reads_any_grid(self, learner, lognormal_selection):
+        """The nuisances hold no grid: one bundle, read on two different
+        grids, gives each grid's curve."""
+        sample, _ = m.standardize_covariates(m.generate(lognormal_selection, 300, seed=4))
+        spec = m.KernelSpec(m.GAUSSIAN, 0.5)
+        part = m.make_folds(sample.n, 3, seed=1)
+        bundle = m.fit_nuisances(sample, part, spec, g_learner=learner)
+        folds = self.oracle(sample, part, spec, learner)
+        for grid in (m.default_grid(sample.y, spec.h, 48), np.linspace(0.61, 1.47, 5)):
+            for arm in (1, 0):
+                got = m.dml_density_curve(sample, part, bundle, spec, grid, arm).values
+                want = self.mean_score(sample, folds, spec, arm, 0, grid)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-LEARNERS = [("logistic", "ridge"), ("knn", "knn")]
 
 
 class TestPoolTasks:
@@ -490,7 +522,6 @@ class TestVarianceCrossAgreement:
             std, _ = m.standardize_covariates(sample)
             h = m.default_bandwidth(sample.n, sample.dim, "dml", m.robust_scale(sample.y))
             spec = m.KernelSpec(m.GAUSSIAN, h)
-            grid = m.default_grid(std.y, h)
             ref = m.estimate_kernel_mte(sample, spec)
             part = m.make_folds(sample.n, 5, seed=seed)
             folds = []
@@ -499,10 +530,10 @@ class TestVarianceCrossAgreement:
                 pi = m.fit_propensity(aux, learner="kernel", hyper={"spec": spec})
                 folds.append(FoldNuisance(
                     pi=pi,
-                    g1=nw_outcome_fit(aux, 1, grid, spec),
-                    g0=nw_outcome_fit(aux, 0, grid, spec),
+                    g1=nw_outcome_fit(aux, 1, spec),
+                    g0=nw_outcome_fit(aux, 0, spec),
                 ))
-            bundle = NuisanceBundle(folds=tuple(folds), grid=grid, spec=spec)
+            bundle = NuisanceBundle(folds=tuple(folds), spec=spec)
             got = m.dml_variance_components(std, part, bundle, spec, ref.theta1, ref.theta0)
             ref_vals = (ref.m1_hat, ref.m0_hat, ref.v1_hat, ref.v0_hat)
             for a, b in zip(got, ref_vals):

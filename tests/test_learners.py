@@ -141,29 +141,28 @@ class TestFitSmoothedOutcome:
         s = m.Sample(y, np.ones(40, int), np.full((40, 1), 2.0))
         spec = m.KernelSpec(m.GAUSSIAN, 0.5)
         grid = np.linspace(-2, 2, 7)
-        fit = m.fit_smoothed_outcome(s, 1, grid, spec, learner="ridge", hyper={"l2": 1e8})
-        for j, g in enumerate(grid):
+        fit = m.fit_smoothed_outcome(s, 1, spec, learner="ridge", hyper={"l2": 1e8})
+        for g in grid:
             want = np.mean(m.scaled_kernel(spec, g - y, 0))
-            assert fit.predict([[2.0]], j, 0) == pytest.approx(want, abs=1e-8)
-            assert fit.predict([[-1.0]], j, 0) == pytest.approx(want, abs=1e-8)
+            assert fit.predict([[2.0]], g, 0) == pytest.approx(want, abs=1e-8)
+            assert fit.predict([[-1.0]], g, 0) == pytest.approx(want, abs=1e-8)
 
     def test_knn_single_observation(self):
         s = m.Sample([0.0], [1], [[0.3]])
         spec = m.KernelSpec(m.GAUSSIAN, 1.0)
-        grid = np.array([-1.0, 0.0, 1.0])
-        fit = m.fit_smoothed_outcome(s, 1, grid, spec, learner="knn", hyper={"k": 1})
-        assert fit.predict([[0.3]], 1, 0) == pytest.approx(PHI0, abs=1e-7)
-        assert fit.predict([[0.3]], 1, 0) == pytest.approx(0.3989423, abs=1e-6)
+        fit = m.fit_smoothed_outcome(s, 1, spec, learner="knn", hyper={"k": 1})
+        assert fit.predict([[0.3]], 0.0, 0) == pytest.approx(PHI0, abs=1e-7)
+        assert fit.predict([[0.3]], 0.0, 0) == pytest.approx(0.3989423, abs=1e-6)
 
     def test_order1_matches_finite_difference_of_order0(self):
         s = arm_sample(200, 7)
         spec = m.KernelSpec(m.GAUSSIAN, 0.4)
         step = spec.h / 60.0
         grid = np.arange(-1.5, 1.5, step)
-        fit = m.fit_smoothed_outcome(s, 1, grid, spec, learner="ridge")
+        fit = m.fit_smoothed_outcome(s, 1, spec, learner="ridge")
         xq = np.array([[0.4]])
-        vals0 = fit.predict_grid(xq, 0)[0]
-        vals1 = fit.predict_grid(xq, 1)[0]
+        vals0 = fit.predict_grid(xq, grid, 0)[0]
+        vals1 = fit.predict_grid(xq, grid, 1)[0]
         fd = (vals0[2:] - vals0[:-2]) / (2.0 * step)
         scale = np.max(np.abs(vals1))
         assert np.max(np.abs(fd - vals1[1:-1])) <= 5e-3 * scale
@@ -172,41 +171,40 @@ class TestFitSmoothedOutcome:
         s = arm_sample(50, 8)
         spec = m.KernelSpec(m.GAUSSIAN, 0.6)
         grid = np.linspace(-2, 2, 11)
-        fit = m.fit_smoothed_outcome(s, 1, grid, spec, learner="knn", hyper={"k": s.n})
-        for j, g in enumerate(grid):
+        fit = m.fit_smoothed_outcome(s, 1, spec, learner="knn", hyper={"k": s.n})
+        for g in grid:
             want = np.mean(m.scaled_kernel(spec, g - s.y, 0))
-            assert fit.predict(s.x[3:4], j, 0) == want
+            assert fit.predict(s.x[3:4], g, 0) == want
 
     def test_ridge_reproducible(self):
         s = arm_sample(80, 9)
         spec = m.KernelSpec(m.GAUSSIAN, 0.5)
         grid = np.linspace(-2, 2, 17)
-        a = m.fit_smoothed_outcome(s, 1, grid, spec, learner="ridge")
-        b = m.fit_smoothed_outcome(s, 1, grid, spec, learner="ridge")
+        a = m.fit_smoothed_outcome(s, 1, spec, learner="ridge")
+        b = m.fit_smoothed_outcome(s, 1, spec, learner="ridge")
         xq = s.x[:5]
         for order in (0, 1, 2):
-            assert np.array_equal(a.predict_grid(xq, order), b.predict_grid(xq, order))
+            assert np.array_equal(a.predict_grid(xq, grid, order), b.predict_grid(xq, grid, order))
 
     def test_wrong_arm_subset_rejected(self):
         s = arm_sample(30, 10, arm=1)
         spec = m.KernelSpec(m.GAUSSIAN, 0.5)
-        grid = np.linspace(-1, 1, 5)
         with pytest.raises(m.NoDataError):
-            m.fit_smoothed_outcome(s, 0, grid, spec)
+            m.fit_smoothed_outcome(s, 0, spec)
         mixed = m.Sample([0.0, 1.0], [1, 0], [[0.0], [1.0]])
         with pytest.raises(ValueError):
-            m.fit_smoothed_outcome(mixed, 1, grid, spec)
+            m.fit_smoothed_outcome(mixed, 1, spec)
 
     def test_partial_column_queries_match_full_grid(self):
         s = arm_sample(60, 11)
         spec = m.KernelSpec(m.GAUSSIAN, 0.5)
         grid = np.linspace(-2, 2, 21)
         for learner in ("ridge", "knn"):
-            fit = m.fit_smoothed_outcome(s, 1, grid, spec, learner=learner)
+            fit = m.fit_smoothed_outcome(s, 1, spec, learner=learner)
             xq = s.x[:4]
             for order in (0, 1, 2):
-                full = fit.predict_grid(xq, order)
-                cols = fit.predict_grid(xq, order, cols=[3, 9])
+                full = fit.predict_grid(xq, grid, order)
+                cols = fit.predict_grid(xq, grid[[3, 9]], order)
                 assert np.allclose(full[:, [3, 9]], cols, atol=1e-12)
 
     @pytest.mark.parametrize("learner", ["ridge", "knn"])
@@ -218,14 +216,14 @@ class TestFitSmoothedOutcome:
         s = m.Sample(rng.normal(size=150), np.ones(150, int), rng.random((150, 2)))
         spec = m.KernelSpec(m.GAUSSIAN, 0.5)
         grid = np.linspace(-2, 2, 23)
-        fit = m.fit_smoothed_outcome(s, 1, grid, spec, learner=learner)
+        fit = m.fit_smoothed_outcome(s, 1, spec, learner=learner)
         xq = rng.random((40, 2))
         for w in (rng.normal(size=40), rng.normal(size=(40, 2))):
             u = fit.row_weights(xq, w)
             assert u.shape == (s.n,) + w.shape[1:]
             for order in (0, 1, 2):
-                want = w.T @ fit.predict_grid(xq, order)
-                got = u.T @ m.scaled_kernel(spec, grid[None, :] - fit.y[:, None], order)
+                want = w.T @ fit.predict_grid(xq, grid, order)
+                got = u.T @ m.scaled_kernel(spec, grid[None, :] - s.y[:, None], order)
                 np.testing.assert_allclose(got, want, rtol=1e-12,
                                            atol=1e-12 * np.max(np.abs(want)))
 
@@ -270,13 +268,12 @@ class TestKnnNeighbors:
             assert np.any(ordered[:, kk - 1] == ordered[:, kk])  # ties cross the boundary
         spec = m.KernelSpec(m.GAUSSIAN, 0.5)
         grid = np.linspace(-2, 2, 9)
-        g = m.fit_smoothed_outcome(m.Sample(y, np.ones(n, int), x), 1, grid, spec,
+        g = m.fit_smoothed_outcome(m.Sample(y, np.ones(n, int), x), 1, spec,
                                    learner="knn", hyper=hyper)
-        for order, cols in ((0, None), (2, None), (1, [4])):
-            targets = m.scaled_kernel(spec, (grid if cols is None else grid[cols])[None, :]
-                                      - y[:, None], order)
+        for order, points in ((0, grid), (2, grid), (1, grid[[4]])):
+            targets = m.scaled_kernel(spec, points[None, :] - y[:, None], order)
             want = knn_oracle(x, xq, kk, targets)[0]
-            assert np.array_equal(g.predict_grid(xq, order, cols=cols), want)
+            assert np.array_equal(g.predict_grid(xq, points, order), want)
 
     def test_repeated_and_mutated_queries_match_fresh_fits(self):
         rng = np.random.default_rng(12)
@@ -288,7 +285,7 @@ class TestKnnNeighbors:
 
         def fits():
             return (m.fit_propensity(s, learner="knn"),
-                    m.fit_smoothed_outcome(arm, 1, grid, spec, learner="knn"))
+                    m.fit_smoothed_outcome(arm, 1, spec, learner="knn"))
 
         pi, g = fits()
         x, x2 = rng.random((50, 2)), rng.random((50, 2))
@@ -298,8 +295,8 @@ class TestKnnNeighbors:
             fresh_pi, fresh_g = fits()
             assert np.array_equal(pi.predict(query), fresh_pi.predict(query))
             for order in (0, 1):
-                assert np.array_equal(g.predict_grid(query, order),
-                                      fresh_g.predict_grid(query, order))
+                assert np.array_equal(g.predict_grid(query, grid, order),
+                                      fresh_g.predict_grid(query, grid, order))
 
     def test_block_memory_is_bounded(self):
         """Peak allocation stays under six block budgets, the neighbor table
@@ -313,8 +310,8 @@ class TestKnnNeighbors:
         k = math.ceil(n ** 0.6)
         tracemalloc.start()
         try:
-            fit = m.fit_smoothed_outcome(s, 1, grid, m.KernelSpec(m.GAUSSIAN, 0.5), learner="knn")
-            fit.predict_grid(s.x, 0)
+            fit = m.fit_smoothed_outcome(s, 1, m.KernelSpec(m.GAUSSIAN, 0.5), learner="knn")
+            fit.predict_grid(s.x, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

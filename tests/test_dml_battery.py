@@ -2,14 +2,18 @@
 
 The battery is the four built-in designs at n = 300, 2000 and 8000, seeds
 1-3, with the Gaussian and the Epanechnikov kernel, with logistic propensity
-and ridge outcome learners; and the same at n = 300 and 2000 with KNN for
-both: 120 estimates at the default bandwidth, grid and folds.
-``data/dml_battery.json`` holds each one's grid argmax per arm and its modes,
-standard errors and sandwich components, as computed while the folds' score
-weights were still merged by sorting the outcomes (weights of equal outcomes
-added).  Adding them by row position instead is the same sum in another
-order, so it may change only rounding: every argmax must be identical, and
-every value within ``REL`` of the stored one.
+and ridge outcome learners; and the same with KNN for both: 144 estimates
+at the default bandwidth, grid and folds.  ``data/dml_battery.json`` holds
+each one's grid argmax per arm and its modes, standard errors and sandwich
+components.  The logistic/ridge entries and the KNN entries at n = 300 and
+2000 were computed while the folds' score weights were still merged by
+sorting the outcomes (weights of equal outcomes added).  Adding them by row
+position instead is the same sum in another order, so it may change only
+rounding: every argmax must be identical, and every value within ``REL`` of
+the stored one.  The KNN entries at n = 8000 were computed with the
+brute-force neighbor search, before the search was restricted to a slab of
+candidate rows; the slab search returns the same neighbor sets, so they too
+hold to ``REL``.
 
 Run as a script, with the package importable (``PYTHONPATH=src``), to rewrite
 the stored values from the code it imports, after a change that is meant to
@@ -31,7 +35,7 @@ SIZES = (300, 2000, 8000)
 SEEDS = (1, 2, 3)
 FAMILIES = (m.GAUSSIAN, m.EPANECHNIKOV)
 LEARNERS = {"logistic/ridge": ("logistic", "ridge"), "knn/knn": ("knn", "knn")}
-KNN_MAX_N = 2000
+KNN_MAX_N = 8000
 FIELDS = ("theta1", "theta0", "se1", "se0", "se_delta", "m1_hat", "m0_hat", "v1_hat", "v0_hat")
 REL = 1e-10
 

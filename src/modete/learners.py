@@ -16,7 +16,10 @@ Learner hyperparameters are plain dicts.  Documented defaults:
 * logistic -- ``l2`` penalty on slopes ``1e-4 * n``, gradient tolerance
   ``tol=1e-8``, ``max_iter=100``.
 * knn -- ``k = ceil(n ** 0.6)`` neighbors (Euclidean distance on internally
-  standardized covariates).
+  standardized covariates; ties at the k-th distance go to the lowest row
+  index).  The search is exact but compares a query only with the slab of
+  rows whose first coordinate alone puts them within an upper bound on its
+  k-th distance (:class:`_Neighbors`).
 * kernel -- Nadaraya-Watson with ``spec`` defaulting to a Gaussian kernel and
   Scott-rule bandwidth ``n ** (-1 / (dim + 4))`` on standardized covariates.
 * ridge -- ``l2`` penalty on slopes ``1e-4 * n`` (intercept unpenalized).
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_factor, cho_solve
 
 from .density import (
@@ -145,46 +149,78 @@ def _fit_logistic(x, d, hyper):
     return predict
 
 
-def _nearest(train, query, k, scratch):
+def _sq_distances(train, cols, query, cand=None):
+    """Squared distances ``np.sum(np.square(q - t), axis=-1)`` from each
+    query row to every training row, or to the rows named in its row of
+    ``cand``; ``cols`` holds the training columns, each contiguous.
+
+    With one or two coordinates that sum makes at most one addition, so
+    adding the coordinates' squares column by column gives its bits without
+    numpy's slow reduction over a short last axis.  With more, the order in
+    which numpy adds the squares is its own, so its reduction is kept.
+    """
+    if query.shape[1] > 2:
+        rows = train if cand is None else train[cand]
+        diff = np.subtract(query[:, None, :], rows, out=None if cand is None else rows)
+        return np.sum(np.square(diff, out=diff), axis=-1)
+    d2 = None
+    for q, col in zip(query.T, cols):
+        diff = q[:, None] - (col if cand is None else col[cand])
+        np.square(diff, out=diff)
+        d2 = diff if d2 is None else np.add(d2, diff, out=d2)
+    return d2
+
+
+def _nearest(train, cols, query, k, cand=None):
     """Indices of the k nearest training rows for each query row, ascending.
 
     These are the first k rows of a stable sort by squared distance: every
     row closer than the k-th distance, then the lowest-index rows at exactly
     that distance.  Ascending indices make neighborhood averages reduce in a
     canonical order (a full neighborhood reproduces the plain arm average
-    bit-for-bit).  Every block array is computed into ``scratch``, made for
-    at least as many query rows by the caller: room for the coordinate
-    differences (later the partitioned distances), the squared distances and
-    two masks.
+    bit-for-bit).  The candidates are every training row, or, where ``cand``
+    is given, the ascending row indices in each query's row of ``cand``;
+    those must include every row at or within the query's k-th distance,
+    and then the selection among them is the one among all rows.
     """
-    m, n = query.shape[0], train.shape[0]
-    flat, d2, keep, ties = scratch
-    d2, keep, ties = d2[:m], keep[:m], ties[:m]
-    diff = flat[:m * train.size].reshape(m, n, -1)
-    np.subtract(query[:, None, :], train[None, :, :], out=diff)
-    np.square(diff, out=diff)
-    np.sum(diff, axis=-1, out=d2)
-    # The differences are spent; their memory takes the partitioned copy.
-    part = flat[:m * n].reshape(m, n)
-    np.copyto(part, d2)
-    part.partition(k - 1, axis=1)
-    kth = part[:, k - 1:k]
-    np.less(d2, kth, out=keep)
-    np.equal(d2, kth, out=ties)
-    room = k - keep.sum(axis=1)
+    m, c = query.shape[0], train.shape[0] if cand is None else cand.shape[1]
+    if c == k:  # k candidates holding the k nearest are the k nearest
+        return np.broadcast_to(np.arange(k), (m, k)) if cand is None else cand
+    d2 = _sq_distances(train, cols, query, cand)
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    keep = d2 < kth
+    ties = d2 == kth
+    room = k - np.count_nonzero(keep, axis=1)
     # Only rows with more ties at the k-th distance than places left need the
     # lowest-index ties picked out; elsewhere every tie is kept.
-    over = np.flatnonzero(ties.sum(axis=1) > room)
+    over = np.flatnonzero(np.count_nonzero(ties, axis=1) > room)
     if over.size:
         t = ties[over]
         t &= np.cumsum(t, axis=1) <= room[over, None]
         ties[over] = t
     keep |= ties
-    return np.nonzero(keep)[1].reshape(-1, k)
+    # Each row keeps k entries, so the flat positions fall k to a row.
+    flat = np.flatnonzero(keep)
+    if cand is not None:
+        return cand.reshape(-1)[flat].reshape(m, k)
+    return flat.reshape(m, k) - np.arange(0, m * c, c)[:, None]
 
 
 class _Neighbors:
-    """Brute-force k-nearest-neighbor search on standardized covariates.
+    """Exact k-nearest-neighbor search on standardized covariates.
+
+    The training rows are sorted once by their first coordinate.  A query's
+    squared distance to a row is a sum of non-negative rounded squares, so
+    it is never below the first of them, ``(q0 - t0)**2``, rounded the same
+    way.  The k rows nearest a query in that coordinate bound its k-th
+    distance from above by the largest of their distances, ``U``; every row
+    with ``(q0 - t0)**2 > U`` is strictly farther than the k-th neighbor, so
+    it can neither be one nor tie with one.  The other rows form one run of
+    the sorted order, the slab, found by bisection and certified by testing
+    the first row left out on each side; the selection runs on the slab's
+    rows in index order and returns what it returns on all rows, bit for
+    bit.  A query block whose widest slab holds more than half the rows (as
+    with two or more covariates spread evenly) compares every row instead.
 
     Both the distance search and the neighborhood averages run in query-row
     blocks bounded by the shared block budget.
@@ -196,16 +232,64 @@ class _Neighbors:
         self.k = min(max(k, 1), n)
         self.mu, self.sd = _standardizer(x)
         self.train = (x - self.mu) / self.sd
+        self.cols = np.ascontiguousarray(self.train.T)
+        self.order = np.argsort(self.cols[0], kind="stable")
+        self.first = self.cols[0][self.order]
+
+    def _slab(self, query):
+        """Per query row, the run ``[lo, hi)`` of the sorted rows that holds its slab."""
+        n, k = self.train.shape[0], self.k
+        if 2 * k > n:  # a slab holds at least k rows
+            return np.zeros(query.shape[0], dtype=np.intp), np.full(query.shape[0], n)
+        first, q0 = self.first, query[:, 0]
+        # Bisect for the k rows nearest each query in the first coordinate.
+        slot = np.searchsorted(first, q0)
+        lo, hi = np.clip(slot - k, 0, n - k), np.minimum(slot, n - k)
+        for _ in range(k.bit_length()):
+            mid = (lo + hi) // 2
+            right = q0 - first[mid] > first[np.minimum(mid + k, n - 1)] - q0
+            lo, hi = np.where(right, np.minimum(mid + 1, hi), lo), np.where(right, hi, mid)
+        if query.shape[1] == 1:
+            # The distance is (q0 - t0)**2 itself, which falls and then rises
+            # along the sorted rows, so the run's largest is at one of its ends.
+            bound = np.maximum(np.square(q0 - first[lo]), np.square(q0 - first[lo + k - 1]))
+        else:
+            near = self.order[lo[:, None] + np.arange(k)]
+            bound = _sq_distances(self.train, self.cols, query, near).max(axis=1)
+        # A radius a little wider than sqrt(U) absorbs the rounding of the
+        # bisection's endpoints; the exact test below decides.
+        r = np.sqrt(bound) * (1.0 + 2.0 ** -40) + np.abs(q0) * 2.0 ** -40
+        lo = np.searchsorted(first, q0 - r, "left")
+        hi = np.searchsorted(first, q0 + r, "right")
+        # A side whose first row left out is not certified farther than U
+        # (only where rounding defeats the margin) widens to the end.
+        lo[(lo > 0) & ~(np.square(q0 - first[lo - 1]) > bound)] = 0
+        hi[(hi < n) & ~(np.square(q0 - first[np.minimum(hi, n - 1)]) > bound)] = n
+        return lo, hi
 
     def neighbors(self, xq):
         query = (np.atleast_2d(np.asarray(xq, dtype=float)) - self.mu) / self.sd
-        nb = np.empty((query.shape[0], self.k), dtype=np.intp)
-        step = _block_rows(self.train.size)
-        rows, n = min(step, query.shape[0]), self.train.shape[0]
-        scratch = (np.empty(rows * self.train.size), np.empty((rows, n)),
-                   np.empty((rows, n), dtype=bool), np.empty((rows, n), dtype=bool))
+        (n, dim), k = self.train.shape, self.k
+        nb = np.empty((query.shape[0], k), dtype=np.intp)
+        # Queries go in order of their first coordinate, so that a block's
+        # slabs are of like width.  A block is bounded in arrays of k columns,
+        # then searched in sub-blocks sized by its widest slab, or by all rows
+        # where that holds more than half of them.
+        by_first = np.argsort(query[:, 0], kind="stable")
+        step = _block_rows(k * dim)
         for s in range(0, query.shape[0], step):
-            nb[s:s + step] = _nearest(self.train, query[s:s + step], self.k, scratch)
+            rows = by_first[s:s + step]
+            lo, hi = self._slab(query[rows])
+            widest = int((hi - lo).max())
+            sub = _block_rows((n if 2 * widest > n else widest) * dim)
+            for t in range(0, rows.size, sub):
+                part = slice(t, t + sub)
+                w = int((hi[part] - lo[part]).max())
+                cand = None
+                if 2 * w <= n:
+                    cand = sliding_window_view(self.order, w)[np.minimum(lo[part], n - w)]
+                    cand.sort(axis=1)
+                nb[rows[part]] = _nearest(self.train, self.cols, query[rows[part]], k, cand)
         return nb
 
     def average(self, targets, xq):

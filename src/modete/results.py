@@ -9,6 +9,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .density import DensityCurve, _scan_curve, default_grid
+from .kernels import _kernel_scale
 from .modes import FLAT_CURVE, MODE_AT_GRID_EDGE, curve_shape_flags, mode_of_curve
 
 SCHEMA_VERSION = "1"  # of the CLI record and the Monte Carlo report
@@ -122,6 +123,9 @@ def estimate_from_fits(fits, spec, *, n, method, alpha, grid=None, grid_points=5
     modes, components and intervals are too; a flag read from the curves
     can differ only where a value lies within ``eps`` of its threshold.
     """
+    # The sandwich components need h**-3; a bandwidth that overflows it fails
+    # here, before a curve is built or a shape flag warned about.
+    _kernel_scale(spec.h, 2)
     if grid is None:
         grid = default_grid(np.concatenate([fit.y for fit in fits.values()]), spec.h, grid_points)
     grid = np.asarray(grid, dtype=float)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -163,10 +164,14 @@ class TestCmdEstimate:
     @pytest.mark.parametrize("h", ["1e-200", "1e-320"])
     def test_extreme_dml_bandwidth_is_a_structured_error(self, sample_csv, capsys, h):
         """A bandwidth whose kernel scale overflows a double exits 2 with the
-        error on stderr as JSON, not with a traceback."""
+        error on stderr as JSON, not with a traceback, and before any curve
+        is searched, so no curve-shape warning comes first."""
         path, _ = sample_csv
-        code = main(["estimate", "--input", path, "--y", "y", "--d", "d", "--x", "x0",
-                     "--method", "dml", "--bandwidth", h])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", m.CurveShapeWarning)
+            code = main(["estimate", "--input", path, "--y", "y", "--d", "d", "--x", "x0",
+                         "--method", "dml", "--bandwidth", h])
+        assert not [w for w in caught if issubclass(w.category, m.CurveShapeWarning)]
         captured = capsys.readouterr()
         assert code == EXIT_ESTIMATION == 2
         err = json.loads(captured.err.strip().splitlines()[-1])

@@ -84,6 +84,18 @@ def test_scaled_kernel_examples():
     assert m.scaled_kernel(spec, 0.5, 1) == pytest.approx(fd, rel=1e-5)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_gaussian_kernel_is_zero_far_out(order):
+    """Where the density underflows to 0, every order is 0, with no warning:
+    not inf * 0, where u * u or the polynomial factor overflows."""
+    spec = m.KernelSpec(m.GAUSSIAN, 0.5)
+    u = np.array([1e154, 1e200, np.inf])
+    for sign in (1.0, -1.0):
+        out = m.scaled_kernel(spec, sign * u * spec.h, order)
+        assert np.array_equal(out, np.zeros(3)), out
+
+
 @given(
     family=st.sampled_from(FAMILIES),
     h=st.floats(0.05, 10.0),

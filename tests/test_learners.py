@@ -275,6 +275,55 @@ class TestKnnNeighbors:
             want = knn_oracle(x, xq, kk, targets)[0]
             assert np.array_equal(g.predict_grid(xq, points, order), want)
 
+    @staticmethod
+    def slab_case(case, rng):
+        """Training covariates, queries and k of one neighbor-search case."""
+        if case == "pruned":  # one covariate: slabs of about k of 5000 rows
+            return rng.normal(size=(5000, 1)), rng.normal(size=(400, 1)), None
+        if case == "pruned-tied":  # a 0.01 lattice: ties at the k-th distance
+            x = np.round(rng.random((5000, 1)), 2)
+            return x, np.round(rng.random((400, 1)), 2), None
+        if case == "outside":  # queries below and above every training row
+            x = rng.random((3000, 1))
+            return x, np.concatenate([-1.0 - rng.random((50, 1)), 2.0 + rng.random((50, 1))]), None
+        if case == "all-equal":  # every row ties at the k-th distance
+            return np.full((600, 1), 0.3), np.full((40, 1), 0.3), None
+        if case == "duplicated":  # each training row ten times, queries among them
+            x = np.repeat(rng.random((200, 1)), 10, axis=0)[rng.permutation(2000)]
+            return x, np.concatenate([x[:100], rng.random((100, 1))]), None
+        if case == "k1":
+            return np.round(rng.random((3000, 1)), 3), np.round(rng.random((300, 1)), 3), 1
+        if case == "kn":
+            return rng.random((300, 1)), rng.random((50, 1)), 300
+        # Two covariates spread evenly: every slab holds most rows, so the
+        # search compares all of them.
+        return rng.random((2000, 2)), rng.random((300, 2)), None
+
+    @pytest.mark.parametrize("case", ["pruned", "pruned-tied", "outside", "all-equal",
+                                      "duplicated", "k1", "kn", "fallback-d2"])
+    def test_slab_search_matches_oracle(self, case):
+        """The search over slabs of rows sorted by the first covariate returns
+        the brute-force neighbor sets exactly."""
+        rng = np.random.default_rng(21)
+        x, xq, k = self.slab_case(case, rng)
+        n = x.shape[0]
+        kk = k or math.ceil(n ** 0.6)
+        hyper = {"k": k} if k else None
+        y = rng.normal(size=n)
+        d = np.arange(n) % 2
+        pi = m.fit_propensity(m.Sample(y, d, x), learner="knn", hyper=hyper)
+        assert np.array_equal(pi.predict(xq), knn_oracle(x, xq, kk, d.astype(float))[0])
+        spec = m.KernelSpec(m.GAUSSIAN, 0.5)
+        grid = np.linspace(-2, 2, 5)
+        g = m.fit_smoothed_outcome(m.Sample(y, np.ones(n, int), x), 1, spec, learner="knn",
+                                   hyper=hyper)
+        targets = m.scaled_kernel(spec, grid[None, :] - y[:, None], 0)
+        want = knn_oracle(x, xq, kk, targets)[0]
+        assert np.array_equal(g.predict_grid(xq, grid), want)
+        # One query at a time, each searches only its own slab.
+        for i in range(0, xq.shape[0], 7):
+            assert np.array_equal(g.predict_grid(xq[i:i + 1], grid), want[i:i + 1])
+
     def test_repeated_and_mutated_queries_match_fresh_fits(self):
         rng = np.random.default_rng(12)
         n = 200

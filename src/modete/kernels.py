@@ -42,9 +42,10 @@ def eval_kernel(family, u, order=0):
     if family == GAUSSIAN:
         if order:
             # Beyond |u| = 40 the density is 0 in double precision; clipping
-            # there keeps u * u finite and a derivative 0 rather than inf * 0.
+            # there keeps a derivative 0 rather than inf * 0.
             u = np.clip(u, -40.0, 40.0)
-        phi = np.exp(-0.5 * u * u) / _SQRT_2PI
+        with np.errstate(over="ignore"):  # a square past a double is inf, and phi 0
+            phi = np.exp(-0.5 * u * u) / _SQRT_2PI
         if order == 0:
             out = phi
         elif order == 1:

@@ -254,8 +254,13 @@ class _Neighbors:
             # along the sorted rows, so the run's largest is at one of its ends.
             bound = np.maximum(np.square(q0 - first[lo]), np.square(q0 - first[lo + k - 1]))
         else:
+            # Added column by column, a sum of three or more squares may round
+            # differently from the selection's, but each is within
+            # (dim - 1) units of roundoff of the exact sum; the factor covers
+            # the difference, so U still bounds the selection's distances.
             near = self.order[lo[:, None] + np.arange(k)]
-            bound = _sq_distances(self.train, self.cols, query, near).max(axis=1)
+            d2 = sum(np.square(q[:, None] - col[near]) for q, col in zip(query.T, self.cols))
+            bound = d2.max(axis=1) * (1.0 + 4.0 * query.shape[1] * 2.0 ** -53)
         # A radius a little wider than sqrt(U) absorbs the rounding of the
         # bisection's endpoints; the exact test below decides.
         r = np.sqrt(bound) * (1.0 + 2.0 ** -40) + np.abs(q0) * 2.0 ** -40

@@ -261,8 +261,8 @@ class _Neighbors:
             near = self.order[lo[:, None] + np.arange(k)]
             d2 = sum(np.square(q[:, None] - col[near]) for q, col in zip(query.T, self.cols))
             bound = d2.max(axis=1) * (1.0 + 4.0 * query.shape[1] * 2.0 ** -53)
-        # A radius a little wider than sqrt(U) absorbs the rounding of the
-        # bisection's endpoints; the exact test below decides.
+        # A radius a little wider than sqrt(U) absorbs the rounding of
+        # q0 -+ r and of the squares; the exact test below decides.
         r = np.sqrt(bound) * (1.0 + 2.0 ** -40) + np.abs(q0) * 2.0 ** -40
         lo = np.searchsorted(first, q0 - r, "left")
         hi = np.searchsorted(first, q0 + r, "right")

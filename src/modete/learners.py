@@ -17,9 +17,9 @@ Learner hyperparameters are plain dicts.  Documented defaults:
   ``tol=1e-8``, ``max_iter=100``.
 * knn -- ``k = ceil(n ** 0.6)`` neighbors (Euclidean distance on internally
   standardized covariates; ties at the k-th distance go to the lowest row
-  index).  The search is exact but compares a query only with the slab of
-  rows whose first coordinate alone puts them within an upper bound on its
-  k-th distance (:class:`_Neighbors`).
+  index).  The search is exact; with one covariate it compares a query only
+  with the slab of sorted rows within an upper bound on its k-th distance
+  (:class:`_Neighbors`), with more it compares every row.
 * kernel -- Nadaraya-Watson with ``spec`` defaulting to a Gaussian kernel and
   Scott-rule bandwidth ``n ** (-1 / (dim + 4))`` on standardized covariates.
 * ridge -- ``l2`` penalty on slopes ``1e-4 * n`` (intercept unpenalized).
@@ -151,8 +151,9 @@ def _fit_logistic(x, d, hyper):
 
 def _sq_distances(train, cols, query, cand=None):
     """Squared distances ``np.sum(np.square(q - t), axis=-1)`` from each
-    query row to every training row, or to the rows named in its row of
-    ``cand``; ``cols`` holds the training columns, each contiguous.
+    query row to every training row, or, with one coordinate, to the rows
+    named in its row of ``cand``; ``cols`` holds the training columns, each
+    contiguous.
 
     With one or two coordinates that sum makes at most one addition, so
     adding the coordinates' squares column by column gives its bits without
@@ -160,8 +161,7 @@ def _sq_distances(train, cols, query, cand=None):
     which numpy adds the squares is its own, so its reduction is kept.
     """
     if query.shape[1] > 2:
-        rows = train if cand is None else train[cand]
-        diff = np.subtract(query[:, None, :], rows, out=None if cand is None else rows)
+        diff = np.subtract(query[:, None, :], train)
         return np.sum(np.square(diff, out=diff), axis=-1)
     d2 = None
     for q, col in zip(query.T, cols):
@@ -209,18 +209,18 @@ def _nearest(train, cols, query, k, cand=None):
 class _Neighbors:
     """Exact k-nearest-neighbor search on standardized covariates.
 
-    The training rows are sorted once by their first coordinate.  A query's
-    squared distance to a row is a sum of non-negative rounded squares, so
-    it is never below the first of them, ``(q0 - t0)**2``, rounded the same
-    way.  The k rows nearest a query in that coordinate bound its k-th
-    distance from above by the largest of their distances, ``U``; every row
-    with ``(q0 - t0)**2 > U`` is strictly farther than the k-th neighbor, so
-    it can neither be one nor tie with one.  The other rows form one run of
-    the sorted order, the slab, found by bisection and certified by testing
-    the first row left out on each side; the selection runs on the slab's
-    rows in index order and returns what it returns on all rows, bit for
-    bit.  A query block whose widest slab holds more than half the rows (as
-    with two or more covariates spread evenly) compares every row instead.
+    The training rows are sorted once by their first coordinate.  With one
+    covariate a query's squared distance to a row is ``(q0 - t0)**2``, so
+    the k rows nearest it in sorted position bound its k-th distance from
+    above by the largest of their distances, ``U``; every row with
+    ``(q0 - t0)**2 > U`` is strictly farther than the k-th neighbor, so it
+    can neither be one nor tie with one.  The other rows form one run of the
+    sorted order, the slab, found by bisection and certified by testing the
+    first row left out on each side; the selection runs on the slab's rows
+    in index order and returns what it returns on all rows, bit for bit.  A
+    query block whose widest slab holds more than half the rows compares
+    every row instead, and so does every query with two or more covariates:
+    a bound from the first coordinate alone hardly prunes evenly spread rows.
 
     Both the distance search and the neighborhood averages run in query-row
     blocks bounded by the shared block budget.
@@ -239,7 +239,7 @@ class _Neighbors:
     def _slab(self, query):
         """Per query row, the run ``[lo, hi)`` of the sorted rows that holds its slab."""
         n, k = self.train.shape[0], self.k
-        if 2 * k > n:  # a slab holds at least k rows
+        if 2 * k > n or query.shape[1] > 1:  # a slab holds at least k rows; see the class
             return np.zeros(query.shape[0], dtype=np.intp), np.full(query.shape[0], n)
         first, q0 = self.first, query[:, 0]
         # Bisect for the k rows nearest each query in the first coordinate.
@@ -249,18 +249,9 @@ class _Neighbors:
             mid = (lo + hi) // 2
             right = q0 - first[mid] > first[np.minimum(mid + k, n - 1)] - q0
             lo, hi = np.where(right, np.minimum(mid + 1, hi), lo), np.where(right, hi, mid)
-        if query.shape[1] == 1:
-            # The distance is (q0 - t0)**2 itself, which falls and then rises
-            # along the sorted rows, so the run's largest is at one of its ends.
-            bound = np.maximum(np.square(q0 - first[lo]), np.square(q0 - first[lo + k - 1]))
-        else:
-            # Added column by column, a sum of three or more squares may round
-            # differently from the selection's, but each is within
-            # (dim - 1) units of roundoff of the exact sum; the factor covers
-            # the difference, so U still bounds the selection's distances.
-            near = self.order[lo[:, None] + np.arange(k)]
-            d2 = sum(np.square(q[:, None] - col[near]) for q, col in zip(query.T, self.cols))
-            bound = d2.max(axis=1) * (1.0 + 4.0 * query.shape[1] * 2.0 ** -53)
+        # The distance is (q0 - t0)**2 itself, which falls and then rises
+        # along the sorted rows, so the run's largest is at one of its ends.
+        bound = np.maximum(np.square(q0 - first[lo]), np.square(q0 - first[lo + k - 1]))
         # A radius a little wider than sqrt(U) absorbs the rounding of
         # q0 -+ r and of the squares; the exact test below decides.
         r = np.sqrt(bound) * (1.0 + 2.0 ** -40) + np.abs(q0) * 2.0 ** -40
@@ -292,6 +283,8 @@ class _Neighbors:
                 w = int((hi[part] - lo[part]).max())
                 cand = None
                 if 2 * w <= n:
+                    # Rows of a window view copy as contiguous runs, many
+                    # times faster than gathering through an index array.
                     cand = sliding_window_view(self.order, w)[np.minimum(lo[part], n - w)]
                     cand.sort(axis=1)
                 nb[rows[part]] = _nearest(self.train, self.cols, query[rows[part]], k, cand)

@@ -295,8 +295,7 @@ class TestKnnNeighbors:
             return np.round(rng.random((3000, 1)), 3), np.round(rng.random((300, 1)), 3), 1
         if case == "kn":
             return rng.random((300, 1)), rng.random((50, 1)), 300
-        # Two covariates spread evenly: every slab holds most rows, so the
-        # search compares all of them.
+        # Two covariates: the search compares every row.
         return rng.random((2000, 2)), rng.random((300, 2)), None
 
     @pytest.mark.parametrize("case", ["pruned", "pruned-tied", "outside", "all-equal",

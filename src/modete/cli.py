@@ -52,12 +52,19 @@ def load_csv(path, column_map):
     ``column_map`` is ``{"y": name, "d": name, "x": [names...]}``.  The
     treatment column accepts 0/1/true/false (case-insensitive); numeric cells
     must be finite.  Errors name the offending row and column.
+
+    The selected columns are read in one :func:`numpy.loadtxt` pass.  A file
+    that pass cannot vouch for (a parse error, no data rows, a non-finite
+    cell, a treatment cell other than exactly ``0`` or ``1``) is read again
+    one cell at a time, so the accepted files, the samples and the messages
+    are the cell parser's.
     """
     y_col = column_map["y"]
     d_col = column_map["d"]
     x_cols = list(column_map["x"])
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        # Read by readline, not by iteration, so that fh.tell() is allowed.
+        reader = csv.reader(iter(fh.readline, ""))
         try:
             header = next(reader)
         except StopIteration:
@@ -69,8 +76,18 @@ def load_csv(path, column_map):
                 raise CsvFormatError(f"{path}: column {col!r} not found in header {header}")
             positions[col] = header.index(col)
 
+        if fh.seekable():  # a pipe is read one cell at a time
+            start = fh.tell()
+            # np.loadtxt warns on a file without data rows; the loop below reports it.
+            if any(line.strip("\r\n") for line in iter(fh.readline, "")):
+                fh.seek(start)
+                sample = _load_columns(fh, positions[y_col], positions[d_col],
+                                       [positions[c] for c in x_cols])
+                if sample is not None:
+                    return sample
+            fh.seek(start)
         ys, ds, xs = [], [], []
-        for row_no, row in enumerate(reader, start=2):
+        for row_no, row in enumerate(csv.reader(fh), start=2):
             if not row:
                 continue
             ys.append(_parse_float(path, row, row_no, y_col, positions[y_col]))
@@ -79,6 +96,28 @@ def load_csv(path, column_map):
     if not ys:
         raise CsvFormatError(f"{path}: no data rows")
     return Sample(np.asarray(ys), np.asarray(ds), np.asarray(xs))
+
+
+def _load_columns(fh, y_pos, d_pos, x_pos):
+    """The sample in the columns at these positions of the rows left in
+    ``fh``, or None where one ``np.loadtxt`` pass cannot vouch for it.
+
+    The treatment column is read twice: as text, which must be exactly "0"
+    or "1", and as a number, which rejects the NULs that numpy's text type
+    drops from the end of a cell.
+    """
+    dtype = np.dtype([("y", float), ("d", "U2"), ("d_num", float), ("x", float, (len(x_pos),))])
+    try:
+        cols = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                          usecols=[y_pos, d_pos, d_pos, *x_pos], ndmin=1)
+    except ValueError:
+        return None
+    d = cols["d"]
+    treated = d == "1"
+    if not (np.isfinite(cols["y"]).all() and np.isfinite(cols["x"]).all()
+            and (treated | (d == "0")).all()):
+        return None
+    return Sample(cols["y"], treated.astype(np.int64), cols["x"])
 
 
 def _cell(row, pos, path, row_no, col):

@@ -92,12 +92,10 @@ def _standardizer(x):
 
 
 def _sigmoid(eta):
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|eta|) is exp(-eta) where eta >= 0 and exp(eta) below, so this is
+    # 1 / (1 + exp(-eta)) and exp(eta) / (1 + exp(eta)) without an overflow.
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
 def _fit_logistic(x, d, hyper):

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import threading
 import warnings
 from dataclasses import fields, replace
 
@@ -37,6 +39,10 @@ def sample_csv(tmp_path, lognormal_plain):
     return str(path), sample
 
 
+# The sample two rows of most parity cases hold: (y, d, x).
+PAIR = ([1.5, 2.5], [0, 1], [[0.25], [0.75]])
+
+
 class TestLoadCsv:
     def test_well_formed(self, tmp_path):
         path = tmp_path / "ok.csv"
@@ -69,6 +75,84 @@ class TestLoadCsv:
         assert np.array_equal(loaded.y, sample.y)
         assert np.array_equal(loaded.d, sample.d)
         assert np.array_equal(loaded.x, sample.x)
+
+    @pytest.mark.parametrize("text, x_cols, want", [
+        ("y,d,x0\n1.5,0,0.25\n\n2.5,1,0.75\n", ["x0"], PAIR),
+        ("y,d,x0\n1.5,0,0.25\n  \n2.5,1,0.75\n", ["x0"], "row 3, column 'y': cannot parse ''"),
+        ("y,d,x0\r\n1.5,0,0.25\r\n2.5,1,0.75\r\n", ["x0"], PAIR),
+        ('y,d,x0,note\n"1.5","0",0.25,"a, b"\n2.5,1,"0.75","two\nlines"\n', ["x0"], PAIR),
+        ('y,d,x0,note\n1.5,0,0.25,"a\nb"\n2.5,2,0.75,c\n', ["x0"],
+         "row 3, column 'd': treatment must be 0/1/true/false, got '2'"),
+        ("y,d,x0\n1.5,0,0.25,9\n2.5,1,0.75\n", ["x0"], PAIR),
+        ("y,d,x0,note\n1.5,0,0.25,a\n2.5,1,0.75\n", ["x0"], PAIR),
+        ("y,d,x0\n1.5,0,0.25\n#2.5,1,0.75\n", ["x0"], "row 3, column 'y': cannot parse '#2.5'"),
+        ("y,d,x0\n1_0,0,0.25\n2.5,1,0.75\n", ["x0"], ([10.0, 2.5], [0, 1], [[0.25], [0.75]])),
+        ("y,d,x0\n\u0661,0,0.25\n2.5,1,0.75\n", ["x0"], ([1.0, 2.5], [0, 1], [[0.25], [0.75]])),
+        ("y,d,x0\n1.5,TRUE,0.25\n2.5,false,0.75\n3.5, 1,1.25\n", ["x0"],
+         ([1.5, 2.5, 3.5], [1, 0, 1], [[0.25], [0.75], [1.25]])),
+        ("y,d,x0\n1.5,0,0.25\n2.5,1.0,0.75\n", ["x0"],
+         "row 3, column 'd': treatment must be 0/1/true/false, got '1.0'"),
+        ("y,d,x0,\n1.5,0,0.25,\n2.5,1,0.75,\n", ["x0"], PAIR),
+        ("y,d,x0\n1.5,0,0.25\n2.5,1,0.75", ["x0"], PAIR),
+        ("y,d,x0\n", ["x0"], "no data rows"),
+        ("x0,d,y\n0.25,0,1.5\n0.75,1,2.5\n", ["x0"], PAIR),
+        ("y,d,x0,x1\n1.5,0,0.25,-3\n2.5,1,0.75,4e-3\n", ["x1", "x0"],
+         ([1.5, 2.5], [0, 1], [[-3.0, 0.25], [0.004, 0.75]])),
+    ], ids=["blank-line", "whitespace-line", "crlf", "quoted", "quoted-newline-then-error",
+            "extra-column", "short-row", "hash-row", "underscore", "arabic-digit",
+            "true-false-padded", "float-treatment", "trailing-comma", "no-final-newline",
+            "header-only", "column-order", "two-covariates"])
+    def test_parity_with_cell_parser(self, tmp_path, text, x_cols, want):
+        """Files the columnar read vouches for and files only the cell parser
+        decides give the cell parser's sample, bit for bit, or its message,
+        and no warning (numpy's reader warns on a file without data rows)."""
+        path = tmp_path / "case.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        cmap = {"y": "y", "d": "d", "x": x_cols}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(want, str):
+                with pytest.raises(CsvFormatError) as exc:
+                    load_csv(str(path), cmap)
+                assert str(exc.value) == f"{path}: {want}"
+                return
+            s = load_csv(str(path), cmap)
+        y, d, x = want
+        assert s.y.dtype == np.float64 and s.d.dtype == np.int64 and s.x.dtype == np.float64
+        assert np.array_equal(s.y.view(np.int64), np.array(y).view(np.int64))
+        assert np.array_equal(s.d, d)
+        assert np.array_equal(s.x.view(np.int64), np.array(x).view(np.int64))
+
+    def test_nul_after_treatment_is_not_taken_for_it(self, tmp_path):
+        """numpy's text type drops a trailing NUL, so "1\\0" would read as "1";
+        the cell parser rejects it (and Python 3.10's csv module rejects the
+        NUL itself)."""
+        path = tmp_path / "nul.csv"
+        path.write_text("y,d,x0\n1.5,0,0.25\n2.5,1\x00,0.75\n", encoding="utf-8")
+        with pytest.raises((CsvFormatError, csv.Error)):
+            load_csv(str(path), {"y": "y", "d": "d", "x": ["x0"]})
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read(self, tmp_path):
+        """A pipe cannot be rewound to the data rows; the cell parser reads it."""
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, daemon=True,
+                                  args=("y,d,x0\n1.5,0,0.25\n2.5,1,0.75\n",))
+        writer.start()
+        s = load_csv(str(fifo), {"y": "y", "d": "d", "x": ["x0"]})
+        writer.join()
+        assert s.y.tolist() == [1.5, 2.5] and s.d.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("fmt", [repr, "%.17g".__mod__], ids=["repr", "17g"])
+    def test_extreme_doubles_round_trip(self, tmp_path, fmt):
+        values = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e-310, 1.0 / 3.0]
+        path = tmp_path / "extreme.csv"
+        rows = [f"{fmt(v)},{i % 2},{fmt(values[-1 - i])}" for i, v in enumerate(values)]
+        path.write_text("\n".join(["y,d,x0", *rows]) + "\n", encoding="utf-8")
+        s = load_csv(str(path), {"y": "y", "d": "d", "x": ["x0"]})
+        assert np.array_equal(s.y.view(np.int64), np.array(values).view(np.int64))
+        assert np.array_equal(s.x[:, 0].view(np.int64), np.array(values[::-1]).view(np.int64))
 
 
 class TestCmdEstimate:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,45 @@ class TestFitPropensity:
     def test_unknown_learner(self):
         with pytest.raises(ValueError):
             m.fit_propensity(coin_sample(50, 5), learner="forest")
+
+    def test_logistic_predict_far_out(self):
+        """With the linear predictor roughly at -800, -40, 0, 40 and 800 (the
+        fitted slope is near 8) the predictions are finite, in [0, 1],
+        monotone, and raise no warning."""
+        rng = np.random.default_rng(8)
+        x = rng.random((500, 1))
+        d = (rng.random(500) < 1.0 / (1.0 + np.exp(-8.0 * (x[:, 0] - 0.5)))).astype(int)
+        fit = m.fit_propensity(m.Sample(rng.normal(size=500), d, x), learner="logistic")
+        eta = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = fit.predict(0.5 + eta[:, None] / 8.0)
+        assert np.all(np.isfinite(p)) and np.all((p >= 0.0) & (p <= 1.0))
+        assert np.all(np.diff(p) >= 0.0)
+        assert p[0] < 1e-300 and p[-1] == 1.0
+
+
+def two_branch_sigmoid(eta):
+    """The logistic function with one formula per sign of ``eta``."""
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ex = np.exp(eta[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_two_branch_formula_bitwise():
+    from modete.learners import _sigmoid
+
+    rng = np.random.default_rng(17)
+    scale = 10.0 ** rng.uniform(-2.0, 3.0, size=20000)
+    eta = np.concatenate([rng.choice([-1.0, 1.0], size=scale.size) * scale,
+                          [-800.0, -40.0, -1e-300, -0.0, 0.0, 1e-300, 40.0, 800.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(eta)
+    assert np.array_equal(got.view(np.int64), two_branch_sigmoid(eta).view(np.int64))
 
 
 def arm_sample(n, seed, arm=1):

@@ -306,6 +306,12 @@ def cmd_estimate(args):
     except (OSError, CsvFormatError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        # The codec's own message gives a position within the chunk it was
+        # decoding, not within the file.
+        print(f"{args.input}: not UTF-8 text: cannot decode byte "
+              f"0x{exc.object[exc.start]:02x} ({exc.reason})", file=sys.stderr)
+        return EXIT_IO
     start = time.perf_counter()
     try:
         result = _estimate(args.method, sample, _estimator_config(args), args.seed)

@@ -39,11 +39,19 @@ _EXP_FLOOR = -707.0
 # weight pass runs up to two row blocks at once, and the cross-fitted route up
 # to two folds' fits, one on each worker of the pool (see :func:`_in_order`),
 # so they take two budgets; smaller blocks would change the bits of the weight
-# pass's sums.
+# pass's sums.  A lifted Gaussian block (:func:`_lift`) is made in its budget
+# with no scratch array; the difference block needs one arm's worth of
+# scratch for d > 1.
 _BLOCK_BYTES = 2 * 2**20
 
-# Unit roundoff of a double, for the rounding terms of the scan's bound.
+# Unit roundoff of a double, for the rounding terms of the scan's bound and of
+# the lifted Gaussian exponents.
 _U = 2.0 ** -53
+
+# Largest certified relative deviation of a covariate weight, from the
+# rounding of its lifted exponent, at which :func:`_lift` lifts the Gaussian
+# block to a matrix product.
+_LIFT_TOL = 1e-12
 
 # Lattice bins per grid step in :func:`_binned_sums`; its error bound falls as
 # the square of the bin width.
@@ -266,6 +274,12 @@ def _product_weights_block(z_block, z_all, family, out=None, tmp=None):
     squared distance too large for a double is infinite, and its weight 0; a
     scaled covariate too large for one gives nan weights, whose rows
     :func:`_weight_pass` reports as having no mass.
+
+    This is the difference block.  Where :func:`_lift` certifies it, the
+    callers make the Gaussian block instead as ``exp(a[rows] @ b)``, one
+    rank-(d + 2) matrix product and one ``exp`` written straight into the
+    block, with each weight within a relative ``_LIFT_TOL`` (1e-12) of this
+    one's exact value; elsewhere, and for Epanechnikov, they call this.
     """
     gaussian = family == GAUSSIAN
     combine = np.add if gaussian else np.multiply
@@ -288,6 +302,52 @@ def _product_weights_block(z_block, z_all, family, out=None, tmp=None):
             np.negative(w, out=w)
             np.exp(w, out=w)
     return w
+
+
+def _lift(z_rows, z_cols=None):
+    """Lifted operands ``(a, b)`` of the Gaussian covariate block between the
+    points of ``z_rows`` and of ``z_cols`` (``z_rows`` when None), both
+    ``(d, .)`` from :func:`_scaled_columns`: ``exp(a[rows] @ b[:, cols])`` is
+    the block of :func:`_product_weights_block` within a certified relative
+    ``_LIFT_TOL`` per weight, or None where that is not certified.
+
+    In exact arithmetic ``-|z_i - z_j|**2 = a_i . b_j`` with
+    ``a_i = (2 z_i, -|z_i|**2, 1)`` and ``b_j = (z_j, 1, -|z_j|**2)``: each
+    point is lifted once, in O(d) work, and a block of exponents is a
+    rank-(d + 2) matrix product, in place of d subtractions, d squares, d - 1
+    additions and a negation per pair.  The product cancels, so its rounding
+    grows with ``R2 = max |z|**2`` over both point sets.  With
+    ``u = 2**-53`` and ``g_k = k u / (1 - k u)`` (Higham 2002, sec. 3.1):
+
+    * each computed ``|z|**2`` is within ``g_d |z|**2``, which moves
+      ``a_i . b_j`` by at most ``2 g_d R2`` (``R2`` is bounded by the
+      largest computed ``|z|**2`` over ``1 - g_d``);
+    * the inner product of length d + 2, rounded in any order, is within
+      ``g_{d+2} sum_k |a_ik b_kj|`` of its exact value, and that sum is at
+      most ``2 R2 + 2 (1 + g_d) R2``.
+
+    So each exponent is within ``dev = (g_{d+2} (4 + 2 g_d) + 2 g_d) R2``,
+    about ``(6 d + 8) u R2``, of ``-|z_i - z_j|**2``, and each weight, before
+    the ``exp``'s own rounding (which the difference block shares), within a
+    relative ``expm1(dev)``.  The lift is taken where that is at most
+    ``_LIFT_TOL``: ``R2`` up to about 450 at d = 2, that is every covariate
+    point within 30 bandwidths of the origin.  A larger or non-finite
+    ``R2``, as at a small bandwidth, gives None, and the caller runs the
+    difference block.
+    """
+    d = z_rows.shape[0]
+    g_d, g_k = (k * _U / (1.0 - k * _U) for k in (d, d + 2))
+    with np.errstate(over="ignore"):
+        q_rows = (z_rows * z_rows).sum(axis=0)
+        q_cols = q_rows if z_cols is None else (z_cols * z_cols).sum(axis=0)
+        r2 = float(max(q_rows.max(initial=0.0), q_cols.max(initial=0.0))) / (1.0 - g_d)
+    if not (g_k * (4.0 + 2.0 * g_d) + 2.0 * g_d) * r2 <= math.log1p(_LIFT_TOL):
+        return None
+    if z_cols is None:
+        z_cols = z_rows
+    a = np.column_stack([2.0 * z_rows.T, -q_rows, np.ones(q_rows.size)])
+    b = np.vstack([z_cols, np.ones(q_cols.size), -q_cols])
+    return a, b
 
 
 def _kernel_sums(spec, grid, y, w, order=0):
@@ -434,7 +494,12 @@ class KernelArmFit:
     their row's sum, so the covariate kernel's constant and bandwidth scaling
     cancel out of it, and its ``c_var`` averages ``f_hat(theta | x_i) / p_i``;
     the cross-fitted route (``dml._arm_fits``) divides by the fold count, and
-    its weights are the fold-averaged orthogonal score's.
+    its weights are the fold-averaged orthogonal score's.  With the Gaussian
+    kernel the kernel route lifts its covariate blocks to a matrix product
+    where :func:`_lift` certifies each weight to a relative ``_LIFT_TOL``
+    (1e-12, from a bound of about ``(6 d + 8) u R2`` on the exponents'
+    rounding): ``c`` and ``c_var`` then lie within ``4 * _LIFT_TOL``
+    relative of the difference block's; elsewhere they are its, bit for bit.
     :func:`marginal_arm_fit` leaves ``c_var`` None, so such a fit has no
     :meth:`components`.
 
@@ -521,6 +586,18 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
     related by an arm swap (or arm duplication) give bit-identical results for
     the corresponding arm.
 
+    For the Gaussian kernel the points are lifted once (:func:`_lift`) where
+    that certifies every weight to a relative ``_LIFT_TOL`` (the decision
+    rests on all ``n`` points, whichever arms the pass fits); the arm's
+    gathered columns are then lifted too, and each block is
+    ``exp(a[rows] @ b_arm)``, written straight into the block's buffer.  A
+    weight and a mass then move by at most ``_LIFT_TOL``, a weight over its
+    mass by twice that and over its mass times a local share by four times,
+    so ``c`` and ``c_var`` lie within ``4 * _LIFT_TOL`` relative of the
+    difference block's, up to the rounding of their sums.  Otherwise, and
+    for Epanechnikov, the blocks are :func:`_product_weights_block`'s, bit
+    for bit.
+
     Each row block writes its own rows of ``s`` and returns its
     contributions to ``c`` and ``c_var``; the blocks run on the calling
     thread or on the pool's two workers (:func:`_threads`,
@@ -533,7 +610,8 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
     n = sample.n
     idx = {arm: sample.arm_indices(arm) for arm in arms}
     z = _scaled_columns(sample.x, spec)
-    z_arm = {arm: z[:, i] for arm, i in idx.items()}
+    lift = _lift(z) if spec.family == GAUSSIAN else None
+    arm_cols = {arm: (z if lift is None else lift[1])[:, i] for arm, i in idx.items()}
     floor = _mass_floor(spec, sample.dim)
     mass = {arm: np.empty(n) for arm in idx}
     acc = {arm: np.zeros(i.size) for arm, i in idx.items()}
@@ -542,13 +620,13 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
     starts = range(0, n, step)
     threads = _threads(len(starts))
     # Each thread of the pass reuses one scratch array, holding every arm's
-    # weights and, for d > 1, one arm's worth of scratch.  The calling thread
-    # makes them all: block-sized arrays made on a worker thread come from its
-    # own malloc arena, which can hand their pages back after each block and
-    # fault them in again (at n = 8000 that cost most of the second thread's
-    # gain).  A thread takes its array on its first block; only that thread
-    # reads or writes its key.
-    width = max(i.size for i in idx.values()) if sample.dim > 1 else 0
+    # weights and, for the difference block with d > 1, one arm's worth of
+    # scratch.  The calling thread makes them all: block-sized arrays made on
+    # a worker thread come from its own malloc arena, which can hand their
+    # pages back after each block and fault them in again (at n = 8000 that
+    # cost most of the second thread's gain).  A thread takes its array on
+    # its first block; only that thread reads or writes its key.
+    width = max(i.size for i in idx.values()) if sample.dim > 1 and lift is None else 0
     spare = [np.empty(step * (n + width)) for _ in range(threads)]
     scratch = {}
 
@@ -562,9 +640,13 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
         e, c, c_var = {}, {}, {}
         for arm in idx:
             size = m * idx[arm].size
-            e[arm] = _product_weights_block(
-                z[:, rows], z_arm[arm], spec.family, out=buf[used:used + size].reshape(m, -1),
-                tmp=buf[step * n:step * n + size].reshape(m, -1) if width else None)
+            out = buf[used:used + size].reshape(m, -1)
+            if lift is None:
+                e[arm] = _product_weights_block(
+                    z[:, rows], arm_cols[arm], spec.family, out=out,
+                    tmp=buf[step * n:step * n + size].reshape(m, -1) if width else None)
+            else:
+                e[arm] = np.exp(np.matmul(lift[0][rows], arm_cols[arm], out=out), out=out)
             used += size
             s_blk = e[arm].sum(axis=1)
             bad = np.flatnonzero(~(s_blk > floor))

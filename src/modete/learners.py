@@ -36,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_factor, cho_solve
 
 from .density import (
-    Sample, _block_rows, _kernel_sums, _mass_floor, _product_weights_block, _scaled_columns,
+    Sample, _block_rows, _kernel_sums, _lift, _mass_floor, _product_weights_block, _scaled_columns,
 )
 from .errors import ConvergenceError, NoDataError, NoOverlapError
 from .kernels import GAUSSIAN, KernelSpec, scaled_kernel
@@ -320,10 +320,18 @@ def _fit_kernel_propensity(x, d, hyper):
         # Query rows are weighted in blocks within the shared budget; a
         # block's matrix-vector product may round differently from one over
         # all rows, by a few ulps.  The kernel's constant cancels in the ratio.
+        # A Gaussian block is lifted to a matrix product where the queries and
+        # the training rows certify it (density._lift), which moves a ratio
+        # by at most 2 * density._LIFT_TOL relative.
         zq = _scaled_columns((np.atleast_2d(np.asarray(xq, dtype=float)) - mu) / sd, spec)
+        lift = _lift(zq, train) if spec.family == GAUSSIAN else None
         out = np.full(zq.shape[1], fallback)
         for s in range(0, zq.shape[1], step):
-            w = _product_weights_block(zq[:, s:s + step], train, spec.family)
+            if lift is None:
+                w = _product_weights_block(zq[:, s:s + step], train, spec.family)
+            else:
+                w = lift[0][s:s + step] @ lift[1]
+                np.exp(w, out=w)
             den = w.sum(axis=1)
             num = w @ d
             ok = den > floor

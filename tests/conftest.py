@@ -50,6 +50,24 @@ def small_sample(n=40, seed=0, dim=1):
     return m.Sample(y, d, x)
 
 
+def gaussian_arm_weights(x, d, h, arm, kappa=None):
+    """One arm's curve weights ``c`` of the kernel route's Gaussian weight
+    pass, and with ``kappa`` its variance weights ``c_var`` under the clipped
+    local shares (else None), from the difference formula over the whole
+    ``n x n`` matrix: ``e_ij = exp(-sum_c ((x_ic - x_jc) / h)**2 / 2)``,
+    ``s_a[i] = sum_{j in a} e_ij``, ``c[j] = sum_i e_ij / s_arm[i]`` and
+    ``c_var[j] = sum_i e_ij / (s_arm[i] p[i])``."""
+    u = (x[:, None, :] - x[None, :, :]) / h
+    e = np.exp(-0.5 * np.sum(u * u, axis=-1))
+    mass = {a: e[:, d == a].sum(axis=1) for a in (0, 1)}
+    own = e[:, d == arm]
+    c = own.T @ (1.0 / mass[arm])
+    if kappa is None:
+        return c, None
+    p = np.clip(mass[arm] / (mass[1] + mass[0]), kappa, 1.0 - kappa)
+    return c, own.T @ (1.0 / (mass[arm] * p))
+
+
 def usable_cpus():
     """The CPUs this process may run on (empty where that cannot be read)."""
     return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()

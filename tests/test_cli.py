@@ -235,6 +235,19 @@ class TestCmdEstimate:
         bad.write_text("y,d,x0\n1.0,7,0.2\n")
         assert main(["estimate", "--input", str(bad), "--y", "y", "--d", "d", "--x", "x0"]) == EXIT_IO
 
+    @pytest.mark.parametrize("text", [b"y,d,x0\n1.5,0,0.25\n2.5,1,0.7\xff5\n",
+                                      b"y,d,x\xe90\n1.5,0,0.25\n"], ids=["row", "header"])
+    def test_invalid_utf8_is_an_io_error(self, tmp_path, capsys, text):
+        """A file that is not UTF-8 text exits 3 with one line naming it."""
+        bad = tmp_path / "latin.csv"
+        bad.write_bytes(text)
+        code = main(["estimate", "--input", str(bad), "--y", "y", "--d", "d", "--x", "x0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{bad}: not UTF-8 text")
+
     def test_estimation_error_is_structured(self, tmp_path, capsys):
         one_arm = tmp_path / "onearm.csv"
         one_arm.write_text("y,d,x0\n1.0,1,0.2\n2.0,1,0.4\n1.5,1,0.6\n")

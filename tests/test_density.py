@@ -8,7 +8,7 @@ import pytest
 
 import modete as m
 
-from conftest import small_sample
+from conftest import gaussian_arm_weights, small_sample
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 PHI1 = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
@@ -193,6 +193,67 @@ def test_fused_gaussian_weights_match_coordinate_product(dim):
     factors = m.eval_kernel(m.GAUSSIAN, (xb[:, None, :] - xa[None, :, :]) / spec.h, 0)
     want = np.prod(factors, axis=-1) * math.sqrt(2.0 * math.pi) ** dim
     assert np.max(np.abs(fused / want - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lift_holds_its_bound_and_tolerance(dim):
+    """The Gaussian block is lifted up to ``R2 = log1p(_LIFT_TOL) / ((6 d + 8) u)``
+    (to first order in ``u = 2**-53``) and declined past it, or where
+    ``|z|**2`` overflows.  Where it is lifted, every exponent ``a_i . b_j``
+    lies within ``(6 d + 8) u R2`` of ``-|z_i - z_j|**2``, computed exactly in
+    rational arithmetic from the stored doubles."""
+    from fractions import Fraction
+
+    from modete.density import _LIFT_TOL, _lift
+
+    u = 2.0 ** -53
+    r2_max = math.log1p(_LIFT_TOL) / ((6 * dim + 8) * u)
+    rng = np.random.default_rng(dim)
+    z = rng.normal(size=(dim, 24))
+    z *= math.sqrt(0.999 * r2_max) / np.sqrt((z * z).sum(axis=0)).max()
+    far = z * math.sqrt(1.002 / 0.999)
+    assert _lift(far) is None and _lift(z, far) is None and _lift(far, z) is None
+    assert _lift(z * 1e160) is None
+    a, b = _lift(z)
+    got = a @ b
+    pts = [[Fraction(float(v)) for v in col] for col in z.T]
+    r2 = max(sum(v * v for v in p) for p in pts)
+    bound = Fraction((6 * dim + 8) * u * (1.0 + 1e-9)) * r2
+    worst = max(abs(Fraction(float(got[i, j])) + sum((p - q) ** 2 for p, q in zip(pi, pj)))
+                for i, pi in enumerate(pts) for j, pj in enumerate(pts))
+    assert 0 < worst <= bound <= math.log1p(_LIFT_TOL)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lifted_curve_weights_match_difference_formula(dim):
+    """With the lift taken, each arm's curve weights lie within
+    ``4 * _LIFT_TOL`` relative of the difference formula's."""
+    from modete.density import _LIFT_TOL, _lift, _scaled_columns
+
+    s, _ = m.standardize_covariates(small_sample(n=400, seed=dim, dim=dim))
+    spec = m.KernelSpec(m.GAUSSIAN, 0.12)
+    assert _lift(_scaled_columns(s.x, spec)) is not None
+    for arm in (0, 1):
+        want, _ = gaussian_arm_weights(s.x, s.d, spec.h, arm)
+        got = m.marginal_arm_fit(s, arm, spec).c
+        assert np.max(np.abs(got / want - 1.0)) <= 4 * _LIFT_TOL
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_declined_lift_keeps_the_difference_block_bits(dim):
+    """At a bandwidth too small for the lift's bound the pass runs the
+    difference block: over one row block, its curve weights have the bytes
+    of that block's ``e.T @ (1 / e.sum(axis=1))``."""
+    from modete.density import _block_rows, _lift, _product_weights_block, _scaled_columns
+
+    s = small_sample(n=300, seed=5, dim=dim)
+    spec = m.KernelSpec(m.GAUSSIAN, 0.01)
+    z = _scaled_columns(s.x, spec)
+    assert _lift(z) is None and _block_rows(s.n) >= s.n
+    for arm in (0, 1):
+        e = _product_weights_block(z, z[:, s.d == arm], spec.family)
+        want = e.T @ (1.0 / e.sum(axis=1))
+        assert m.marginal_arm_fit(s, arm, spec).c.tobytes() == want.tobytes()
 
 
 def test_curve_matches_scaled_kernel_sum_bitwise():

@@ -2,6 +2,8 @@
 
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -14,7 +16,7 @@ from scipy.special import ndtri
 
 import modete as m
 
-from conftest import cli_estimate, small_sample, usable_cpus, write_csv
+from conftest import cli_estimate, gaussian_arm_weights, small_sample, usable_cpus, write_csv
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -253,6 +255,24 @@ class TestOnePassVariance:
             assert seen[arm].c_var is not None
             assert m.marginal_arm_fit(std, arm, spec).c.tobytes() == seen[arm].c.tobytes()
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_lifted_weights_match_difference_formula(self, monkeypatch, dim):
+        """With the lift taken, the estimate's pass gives each arm curve and
+        variance weights within ``4 * _LIFT_TOL`` relative of the difference
+        formula's, under the clipped local shares."""
+        from modete.density import _LIFT_TOL, _lift, _scaled_columns
+
+        sample = small_sample(n=400, seed=dim, dim=dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", m.CurveShapeWarning)
+            _, seen = _estimate_with_fits(monkeypatch, "kernel", sample, h=0.12)
+        std, _ = m.standardize_covariates(sample)
+        assert _lift(_scaled_columns(std.x, seen[0][0].spec)) is not None
+        for (fit, _), arm in zip(seen, (1, 0)):
+            for got, want in zip((fit.c, fit.c_var),
+                                 gaussian_arm_weights(std.x, std.d, 0.12, arm, kappa=0.01)):
+                assert np.max(np.abs(got / want - 1.0)) <= 4 * _LIFT_TOL
+
     @pytest.mark.parametrize("family", [m.GAUSSIAN, m.EPANECHNIKOV])
     @pytest.mark.parametrize("h", [1e-320, 1e-200, 1e-100, 1e-5])
     def test_extreme_bandwidth_raises_only_a_typed_error(self, h, family, dgps):
@@ -384,6 +404,33 @@ class TestTwoLanePass:
         assert not any(t.is_alive() for t in threads)
         for g, w in zip(got, want):
             assert (g.theta1, g.theta0, g.se1, g.se0) == (w.theta1, w.theta0, w.se1, w.se0)
+
+
+def _kernel_estimate_bytes(blas_threads):
+    """A two-covariate kernel-route estimate at n = 2000 (its modes, standard
+    errors, components and both curves) and the kernel propensity learner's
+    predictions, computed in a fresh interpreter with ``blas_threads`` BLAS
+    threads, as hex."""
+    src = str(Path(m.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import numpy as np, modete as m; "
+            "s = m.generate(m.builtin_dgps()['skew-mixture'], 2000, seed=5); "
+            "r = m.estimate_kernel_mte(s); "
+            "p = m.fit_propensity(s, learner='kernel').predict(s.x); "
+            "print(*(a.tobytes().hex() for a in (np.array([r.theta1, r.theta0, r.se1, r.se0, "
+            "r.m1_hat, r.m0_hat, r.v1_hat, r.v0_hat]), r.curve1.values, r.curve0.values, p)))")
+    threads = str(blas_threads)
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=env, check=True)
+    return proc.stdout
+
+
+def test_same_bits_for_any_blas_thread_count():
+    """The lifted blocks' matrix products give the same bits whether the BLAS
+    runs them on one thread or splits them over two."""
+    assert _kernel_estimate_bytes(1) == _kernel_estimate_bytes(2)
 
 
 def test_nonnegative_curvature_sets_diagnostics_flag():

@@ -111,6 +111,26 @@ class TestFitPropensity:
         want = (w @ d) / w.sum(axis=1)
         np.testing.assert_allclose(fit.predict(xq), want, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_kernel_nw_matches_product_kernel_ratio(self, dim):
+        """With the Gaussian block lifted, the predictions lie within
+        ``2 * _LIFT_TOL`` relative of the Nadaraya-Watson ratio of
+        ``product_kernel`` weights on the standardized covariates."""
+        from modete.density import _LIFT_TOL, _lift, _scaled_columns
+
+        rng = np.random.default_rng(30 + dim)
+        n = 600
+        x, xq = rng.normal(size=(n, dim)), rng.normal(size=(50, dim))
+        d = (rng.random(n) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(int)
+        fit = m.fit_propensity(m.Sample(rng.normal(size=n), d, x), learner="kernel")
+        mu, sd = x.mean(axis=0), x.std(axis=0, ddof=1)
+        xs, qs = (x - mu) / sd, (xq - mu) / sd
+        spec = m.KernelSpec(m.GAUSSIAN, n ** (-1.0 / (dim + 4)))
+        assert _lift(_scaled_columns(qs, spec), _scaled_columns(xs, spec)) is not None
+        w = m.product_kernel(spec, qs[:, None, :] - xs[None, :, :])
+        want = (w @ d) / w.sum(axis=1)
+        np.testing.assert_allclose(fit.predict(xq), want, rtol=2 * _LIFT_TOL, atol=0.0)
+
     def test_knn_predictions_in_unit_interval(self):
         s = coin_sample(300, 3)
         fit = m.fit_propensity(s, learner="knn")

@@ -29,7 +29,7 @@ from .kernel_mte import estimate_kernel_mte
 from .results import SCHEMA_VERSION
 
 _MASK64 = (1 << 64) - 1
-_QUAD_POINTS = 201  # Gauss-Legendre nodes per covariate and in the kernel argument
+_QUAD_POINTS = 201  # Gauss-Legendre nodes in the oracle's kernel argument
 _MODE_GRID_POINTS = 10_000  # of the numerical oracle's search grid
 
 
@@ -44,14 +44,17 @@ def _mix_seed(seed, rep):
     return z
 
 
-def _gaussian(z, loc, sigma, out=None):
-    """``exp(-u**2 / 2)`` with ``u = (z - loc) / sigma``, broadcast, computed
-    in place in ``out``, or in one new array."""
-    u = np.subtract(z, loc, out=out)
-    u /= sigma
-    u *= u
-    u *= -0.5
-    return np.exp(u, out=u)
+def _normal_integral(m, z):
+    """``J_m(z)``, the ``m``-fold integral of the standard normal density from
+    minus infinity (DLMF 7.18), so ``J_m' = J_(m-1)``: ``J_-1 = phi'``,
+    ``J_0 = phi``, ``J_1 = Phi``, ``J_k = (z J_(k-1) + J_(k-2)) / (k - 1)``."""
+    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    if m <= 0:
+        return phi if m == 0 else -z * phi
+    prev, cur = phi, 0.5 * np.frompyfunc(math.erfc, 1, 1)(z / -math.sqrt(2.0)).astype(float)
+    for k in range(2, m + 1):
+        prev, cur = cur, (z * cur + prev) / (k - 1)
+    return cur
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,10 @@ class _LocationLaw:
     mu: float
     slope: tuple
     sigma: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.mu, self.sigma, *self.slope))) or self.sigma <= 0:
+            raise ValueError("a location law needs a finite mu and slope and a finite sigma > 0")
 
     def location(self, x):
         return self.mu + x @ np.asarray(self.slope)
@@ -74,6 +81,34 @@ class _LocationLaw:
         hi = self.mu + sum(max(0.0, s) for s in self.slope)
         return lo, hi
 
+    def marginal(self, v):
+        """Density at ``v`` of ``mu + slope . x + sigma Z``, ``x ~ U(0, 1)^d``
+        integrated out exactly, and its slope.
+
+        Over the ``m`` coordinates with ``|slope| > 1e-5 sigma`` the density is
+        the ``m``-th difference of ``J_m`` over the box's ``2^m`` corners (the
+        slope: of ``J_(m-1)``), over ``sigma prod(slope / sigma)``.  Right of
+        the box's middle each corner takes ``(-1)^m J_m(-z)``, which differs
+        by a polynomial of degree ``m - 1`` that the difference cancels, so
+        neither tail cancels.  The difference loses about ``1e-16 /
+        prod(|slope| / sigma)`` relative, more in the far tails, so a smaller
+        non-zero slope moves the location by ``slope / 2``: the midpoint rule,
+        off by ``(slope / sigma)^2 (z^2 - 1) / 24`` relative, under 1e-10 at
+        ``|z| < 4``.  A zero slope drops out."""
+        sigma, cut = self.sigma, 1e-5 * self.sigma
+        steep = [s / sigma for s in self.slope if abs(s) > cut]
+        z = (v - self.mu - sum(0.5 * s for s in self.slope if abs(s) <= cut)) / sigma
+        m = len(steep)
+        flip = np.where(z > 0.5 * sum(steep), -1.0, 1.0)
+        pdf, slope = np.zeros_like(z), np.zeros_like(z)
+        for corner in itertools.product((0, 1), repeat=m):
+            zc = flip * (z - sum(a for a, c in zip(steep, corner) if c))
+            sign = (-1.0) ** sum(corner) * flip ** m
+            pdf += sign * _normal_integral(m, zc)
+            slope += sign * flip * _normal_integral(m - 1, zc)
+        scale = sigma * math.prod(steep)
+        return pdf / scale, slope / (scale * sigma)
+
 
 @dataclass(frozen=True)
 class NormalLaw(_LocationLaw):
@@ -82,10 +117,9 @@ class NormalLaw(_LocationLaw):
     def transform(self, z, x):
         return self.location(x) + self.sigma * z
 
-    def pdf_grid(self, y, x, out=None):
-        out = _gaussian(np.asarray(y)[None, :], self.location(x)[:, None], self.sigma, out)
-        out /= self.sigma * math.sqrt(2.0 * math.pi)
-        return out
+    def pdf_grid(self, y, x):
+        u = (np.asarray(y)[None, :] - self.location(x)[:, None]) / self.sigma
+        return _normal_integral(0, u) / self.sigma
 
     def support_bounds(self):
         lo, hi = self.location_bounds()
@@ -102,15 +136,20 @@ class LogNormalLaw(_LocationLaw):
     def transform(self, z, x):
         return np.exp(self.location(x) + self.sigma * z)
 
-    def pdf_grid(self, y, x, out=None):
+    def pdf_grid(self, y, x):
         y = np.asarray(y, dtype=float)
         pos = y > 0
         # Outcomes without support are evaluated at 1, then zeroed.
         safe = np.where(pos, y, 1.0)
-        out = _gaussian(np.log(safe)[None, :], self.location(x)[:, None], self.sigma, out)
-        out /= safe[None, :] * self.sigma * math.sqrt(2.0 * math.pi)
-        out *= pos
-        return out
+        u = (np.log(safe)[None, :] - self.location(x)[:, None]) / self.sigma
+        return pos * _normal_integral(0, u) / (safe[None, :] * self.sigma)
+
+    def marginal(self, y):
+        """``f_V(log y) / y`` and its slope ``(f_V' - f_V) / y**2``."""
+        pos = y > 0
+        safe = np.where(pos, y, 1.0)
+        pdf, slope = super().marginal(np.log(safe))
+        return pos * pdf / safe, pos * (slope - pdf) / safe ** 2
 
     def support_bounds(self):
         lo, hi = self.location_bounds()
@@ -130,8 +169,9 @@ class MixtureLaw:
     components: tuple
 
     def __post_init__(self):
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError("mixture weights must sum to one")
+        if (len(self.weights) != len(self.components) or min(self.weights) < 0
+                or abs(sum(self.weights) - 1.0) > 1e-12):
+            raise ValueError("mixture weights must be one per component, >= 0, summing to one")
 
     def sample(self, rng, x):
         k = x.shape[0]
@@ -147,15 +187,12 @@ class MixtureLaw:
                 y[mask] = law.transform(z[mask], x[mask])
         return y
 
-    def pdf_grid(self, y, x, out=None):
-        out = self.components[0].pdf_grid(y, x, out)
-        out *= self.weights[0]
-        part = None
-        for w, law in zip(self.weights[1:], self.components[1:]):
-            part = law.pdf_grid(y, x, part)
-            part *= w
-            out += part
-        return out
+    def pdf_grid(self, y, x):
+        return sum(w * law.pdf_grid(y, x) for w, law in zip(self.weights, self.components))
+
+    def marginal(self, y):
+        parts = [law.marginal(y) for law in self.components]
+        return tuple(sum(w * p[i] for w, p in zip(self.weights, parts)) for i in (0, 1))
 
     def support_bounds(self):
         bounds = [law.support_bounds() for law in self.components]
@@ -180,6 +217,9 @@ class DGPSpec:
     def __post_init__(self):
         if len(self.propensity_slope) != self.dim:
             raise ValueError("propensity slope length must match dim")
+        for law in (self.law1, self.law0):
+            if any(len(part.slope) != self.dim for part in getattr(law, "components", (law,))):
+                raise ValueError("outcome law slope length must match dim")
         # The propensity is linear in x inside a sigmoid, so its extremes on
         # the unit box sit at corners; keep them inside [0.05, 0.95].
         for corner in itertools.product((0.0, 1.0), repeat=self.dim):
@@ -251,72 +291,23 @@ def generate(dgp: DGPSpec, n, seed) -> Sample:
     return Sample(y, d, x)
 
 
-@lru_cache(maxsize=None)
-def _covariate_quadrature(dim):
-    """Tensor Gauss-Legendre nodes/weights on the unit covariate box, shared
-    by every caller and so read-only."""
-    z, w = np.polynomial.legendre.leggauss(_QUAD_POINTS)
-    nodes1 = 0.5 * (z + 1.0)
-    weights1 = 0.5 * w
-    grids = np.meshgrid(*([nodes1] * dim), indexing="ij")
-    nodes = np.column_stack([g.ravel() for g in grids])
-    wgrids = np.meshgrid(*([weights1] * dim), indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for wg in wgrids:
-        weights *= wg.ravel()
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def marginal_pdf(dgp: DGPSpec, arm, y):
-    """Marginal potential-outcome density, integrating the covariates out.
-
-    The conditional densities are taken for blocks of nodes within the
-    package's memory budget, with ``y`` as the long inner axis, each block
-    written into the same buffer, and summed over the nodes without BLAS, so
-    the values do not depend on its thread count.
-    """
-    law = dgp.law(arm)
-    nodes, weights = _covariate_quadrature(dgp.dim)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.zeros(y.size)
-    step = density._block_rows(y.size)
-    buf = np.empty((min(step, nodes.shape[0]), y.size))
-    for start in range(0, nodes.shape[0], step):
-        rows = nodes[start:start + step]
-        pdf = law.pdf_grid(y, rows, buf[:rows.shape[0]])
-        out += np.einsum("i,ij->j", weights[start:start + step], pdf)
-    return out
-
-
-def _golden_max(f, lo, hi, tol=1e-8):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    """Marginal potential-outcome density, the covariates integrated out in
+    closed form (see :meth:`_LocationLaw.marginal`)."""
+    return dgp.law(arm).marginal(np.atleast_1d(np.asarray(y, dtype=float)))[0]
 
 
 def numeric_mode(dgp: DGPSpec, arm):
-    """Numerical oracle: fine-grid argmax of the marginal plus golden-section.
+    """Numerical oracle: fine-grid argmax of the marginal, then bisection on
+    the sign of its slope inside the peak's two grid cells, down to adjacent
+    doubles.
 
     Raises :class:`UnimodalityViolationError` when a second grid-local
     maximum comes within 1% of the peak.
     """
     law = dgp.law(arm)
-    lo, hi = law.support_bounds()
-    grid = np.linspace(lo, hi, _MODE_GRID_POINTS)
-    v = marginal_pdf(dgp, arm, grid)
+    grid = np.linspace(*law.support_bounds(), _MODE_GRID_POINTS)
+    v = law.marginal(grid)[0]
     # The last point of a tie counts: a symmetric marginal's mode can sit
     # halfway between two grid points, whose values are then equal.
     interior = (v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])
@@ -332,11 +323,10 @@ def numeric_mode(dgp: DGPSpec, arm):
             f"marginal of arm {arm} in {dgp.name!r} has {near.size} competing peaks"
         )
     i = int(peaks[np.argmax(v[peaks])])
-
-    def value(yq):
-        return float(marginal_pdf(dgp, arm, np.asarray([yq]))[0])
-
-    return _golden_max(value, float(grid[i - 1]), float(grid[i + 1]))
+    a, b = float(grid[i - 1]), float(grid[i + 1])
+    while a < (mid := 0.5 * (a + b)) < b:
+        a, b = (mid, b) if law.marginal(np.asarray([mid]))[1][0] > 0 else (a, mid)
+    return a
 
 
 @lru_cache(maxsize=None)

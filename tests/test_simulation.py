@@ -1,5 +1,6 @@
 """DGPs, oracle modes, and the Monte Carlo harness."""
 
+import itertools
 import json
 import math
 import multiprocessing
@@ -59,6 +60,29 @@ class TestDGPSpec:
             m.MixtureLaw(weights=(0.7, 0.7),
                          components=(m.NormalLaw(0.0, (), 1.0), m.NormalLaw(1.0, (), 1.0)))
 
+    @pytest.mark.parametrize("build", [
+        lambda: m.MixtureLaw(weights=(0.5, 0.5), components=(m.NormalLaw(0.0, (0.0,), 1.0),)),
+        lambda: m.MixtureLaw(weights=(1.5, -0.5), components=(m.NormalLaw(0.0, (0.0,), 1.0),
+                                                              m.NormalLaw(1.0, (0.0,), 1.0))),
+        lambda: m.NormalLaw(0.0, (0.0,), 0.0),
+        lambda: m.NormalLaw(0.0, (0.0,), -1.0),
+        lambda: m.NormalLaw(0.0, (0.0,), math.inf),
+        lambda: m.LogNormalLaw(math.nan, (0.0,), 1.0),
+        lambda: m.LogNormalLaw(0.0, (math.inf,), 1.0),
+        lambda: m.DGPSpec(name="short", dim=2, propensity_intercept=0.0,
+                          propensity_slope=(0.0, 0.0), law1=m.NormalLaw(0.0, (0.5,), 1.0),
+                          law0=m.NormalLaw(0.0, (0.5, 0.5), 1.0)),
+        lambda: m.DGPSpec(name="short-part", dim=2, propensity_intercept=0.0,
+                          propensity_slope=(0.0, 0.0), law1=m.NormalLaw(0.0, (0.5, 0.5), 1.0),
+                          law0=m.MixtureLaw(weights=(0.5, 0.5), components=(
+                              m.NormalLaw(0.0, (0.5, 0.5), 1.0), m.NormalLaw(1.0, (0.5,), 1.0)))),
+    ], ids=["weight-without-component", "negative-weight", "zero-sigma", "negative-sigma",
+            "infinite-sigma", "nan-mu", "infinite-slope", "slope-shorter-than-dim",
+            "component-slope-shorter-than-dim"])
+    def test_invalid_laws_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
 
 class TestTrueMode:
     def test_analytic_lognormal(self, lognormal_plain):
@@ -88,6 +112,20 @@ class TestTrueMode:
         assert m.true_mode(normal_selection, 1) == pytest.approx(2.25, abs=1e-6)
         assert m.true_mode(normal_selection, 0) == pytest.approx(0.25, abs=1e-6)
 
+    @pytest.mark.parametrize("name, arm, mode", [
+        ("lognormal-plain", 1, math.exp(0.5 - 0.36)),
+        ("lognormal-plain", 0, math.exp(-0.36)),
+        ("normal-selection", 1, 2.25),
+        ("normal-selection", 0, 0.25),
+        (None, 1, 2.0),
+    ], ids=["lognormal-plain-1", "lognormal-plain-0", "normal-selection-1", "normal-selection-0",
+            "zero-slope-normal"])
+    def test_numeric_mode_is_exact(self, dgps, name, arm, mode):
+        # normal-selection's marginal is symmetric about its mid-location; a
+        # zero slope leaves N(2, 1).
+        dgp = dgps[name] if name else _one_law_dgp(m.NormalLaw(2.0, (0.0,), 1.0))
+        assert abs(m.numeric_mode(dgp, arm) - mode) <= 1e-12
+
     def test_bimodal_marginal_rejected(self):
         dgp = m.DGPSpec(
             name="bimodal", dim=1, propensity_intercept=0.0, propensity_slope=(0.0,),
@@ -116,7 +154,47 @@ def _marginal_pdf_bytes(blas_threads):
     return proc.stdout
 
 
+def _one_law_dgp(law, dim=1):
+    return m.DGPSpec(name="one-law", dim=dim, propensity_intercept=0.0,
+                     propensity_slope=(0.0,) * dim, law1=law, law0=law)
+
+
+def _tensor_marginal(law, dim, y, nodes):
+    """The marginal density on the unit covariate box by a tensor
+    Gauss-Legendre rule with ``nodes`` points per axis."""
+    z, w = np.polynomial.legendre.leggauss(nodes)
+    x = np.array(list(itertools.product(0.5 * (z + 1.0), repeat=dim)))
+    wx = np.array([math.prod(t) for t in itertools.product(0.5 * w, repeat=dim)])
+    return wx @ law.pdf_grid(y, x)
+
+
+_BUILTIN_ARMS = [(name, arm) for name in m.builtin_dgps() for arm in (1, 0)]
+
+
 class TestMarginalPdf:
+    @pytest.mark.parametrize("name, arm", _BUILTIN_ARMS)
+    def test_builtin_arm_matches_tensor_quadrature(self, dgps, name, arm):
+        self._check(dgps[name], arm, 201)
+
+    @pytest.mark.parametrize("law, nodes", [
+        (m.NormalLaw(0.5, (0.8, -0.5, 1.2), 0.7), 41),
+        (m.NormalLaw(0.0, (0.8e-3,), 0.8), 201),
+        (m.NormalLaw(0.0, (0.8e-7,), 0.8), 201),
+        (m.NormalLaw(0.0, (0.2, 1e-3), 1.0), 201),
+    ], ids=["three-covariates-negative-slope", "slope-1e-3-sigma", "slope-1e-7-sigma",
+            "slopes-0.2-and-1e-3"])
+    def test_law_matches_tensor_quadrature(self, law, nodes):
+        self._check(_one_law_dgp(law, len(law.slope)), 1, nodes)
+
+    @staticmethod
+    def _check(dgp, arm, nodes):
+        law = dgp.law(arm)
+        y = np.linspace(*law.support_bounds(), 50)
+        ref = _tensor_marginal(law, dgp.dim, y, nodes)
+        keep = ref > 1e-12 * ref.max()
+        got = sim.marginal_pdf(dgp, arm, y)
+        assert np.all(np.abs(got - ref)[keep] <= 1e-10 * ref[keep])
+
     def test_same_bits_for_any_blas_thread_count(self):
         assert _marginal_pdf_bytes(1) == _marginal_pdf_bytes(2)
 

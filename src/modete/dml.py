@@ -266,7 +266,7 @@ def estimate_dml_mte(sample: Sample, config: DMLConfig | None = None) -> MTEResu
     if config.folds < 2:
         raise ValueError(f"cross-fitting needs at least 2 folds, got {config.folds}")
     std_sample, spec = _prepare(sample, config.family, config.bandwidth, config.alpha,
-                                DML_METHOD, _DML_SCALE_MULT)
+                                config.kappa, DML_METHOD, _DML_SCALE_MULT)
     n = std_sample.n
 
     # First attempt plus up to _MAX_RESEEDS re-seeds.

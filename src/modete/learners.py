@@ -5,13 +5,15 @@ The smoothed-outcome target for observation ``i`` at an outcome point ``y``
 and derivative order ``s`` is the scaled kernel ``K_h^(s)(y - y_i)``, fitted
 on one treatment arm only.  A fit is a function of ``y``: it is evaluated on
 whatever points a query names.  Ridge solves every (outcome point, order)
-target against one Cholesky factor of the design's Gram matrix; KNN averages
-targets over neighbors.  Both are linear in the targets, so a weighted sum
-of predictions is a weighted kernel sum over the fit's own rows
+target against one Gram matrix of the design; KNN averages targets over
+neighbors.  Both are linear in the targets, so a weighted sum of predictions
+is a weighted kernel sum over the fit's own rows
 (:attr:`SmoothedOutcomeFit.row_weights`), which is how the cross-fitted
 route reads them.
 
-Learner hyperparameters are plain dicts.  Documented defaults:
+Learner hyperparameters are plain dicts; a key set to None keeps its
+default, and a value out of range raises :class:`ValueError` before the fit.
+Documented defaults:
 
 * logistic -- ``l2`` penalty on slopes ``1e-4 * n``, gradient tolerance
   ``tol=1e-8``, ``max_iter=100``.
@@ -28,12 +30,12 @@ Learner hyperparameters are plain dicts.  Documented defaults:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import cho_factor, cho_solve
 
 from .density import (
     Sample, _block_rows, _kernel_sums, _lift, _mass_floor, _product_weights_block, _scaled_columns,
@@ -45,10 +47,15 @@ PROPENSITY_LEARNERS = ("logistic", "knn", "kernel")
 OUTCOME_LEARNERS = ("ridge", "knn")
 
 
-def clip_propensity(p, kappa):
-    """Clamp propensity values into ``[kappa, 1 - kappa]``."""
+def _check_kappa(kappa):
+    """Reject a clipping level outside ``(0, 0.5)``."""
     if not 0.0 < kappa < 0.5:
         raise ValueError(f"clip kappa must be in (0, 0.5), got {kappa!r}")
+
+
+def clip_propensity(p, kappa):
+    """Clamp propensity values into ``[kappa, 1 - kappa]``."""
+    _check_kappa(kappa)
     out = np.minimum(np.maximum(p, kappa), 1.0 - kappa)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -78,6 +85,24 @@ class PropensityFit:
         return clip_propensity(p, self.clip_kappa)
 
 
+def _hyper(learner, hyper, key, default):
+    """``hyper[key]``, or ``default`` where it is absent or None.  ``k`` and
+    ``max_iter`` must be positive integers, ``l2`` a finite number >= 0 and
+    ``tol`` a finite number > 0; another value raises :class:`ValueError`."""
+    value = hyper.get(key)
+    if value is None:
+        return default
+    if key in ("k", "max_iter"):
+        what, ok = "a positive integer", isinstance(value, numbers.Integral) and value >= 1
+    else:
+        what = "a finite number >= 0" if key == "l2" else "a finite number > 0"
+        ok = (isinstance(value, numbers.Real) and math.isfinite(value)
+              and (value > 0 or (key == "l2" and value == 0)))
+    if not ok:
+        raise ValueError(f"{learner} learner: {key} must be {what}, got {value!r}")
+    return value
+
+
 def _design(x):
     """Design matrix ``[1, x]`` with an intercept column."""
     return np.column_stack([np.ones(x.shape[0]), x])
@@ -100,9 +125,9 @@ def _sigmoid(eta):
 
 def _fit_logistic(x, d, hyper):
     n, dim = x.shape
-    lam = hyper.get("l2", 1e-4 * n)
-    tol = hyper.get("tol", 1e-8)
-    max_iter = hyper.get("max_iter", 100)
+    lam = _hyper("logistic", hyper, "l2", 1e-4 * n)
+    tol = _hyper("logistic", hyper, "tol", 1e-8)
+    max_iter = _hyper("logistic", hyper, "max_iter", 100)
     a = _design(x)
     pen = np.zeros(dim + 1)
     pen[1:] = lam
@@ -226,8 +251,7 @@ class _Neighbors:
 
     def __init__(self, x, hyper):
         n = x.shape[0]
-        k = int(hyper.get("k") or math.ceil(n ** 0.6))
-        self.k = min(max(k, 1), n)
+        self.k = min(int(_hyper("knn", hyper, "k", math.ceil(n ** 0.6))), n)
         self.mu, self.sd = _standardizer(x)
         self.train = (x - self.mu) / self.sd
         self.cols = np.ascontiguousarray(self.train.T)
@@ -388,18 +412,18 @@ class SmoothedOutcomeFit:
 
 def _fit_ridge_outcome(x, y, spec, hyper):
     n, dim = x.shape
-    lam = hyper.get("l2", 1e-4 * n)
+    lam = _hyper("ridge", hyper, "l2", 1e-4 * n)
     a = _design(x)
     pen = np.zeros(dim + 1)
     pen[1:] = lam
-    chol = cho_factor(a.T @ a + np.diag(pen), lower=True)
+    gram = a.T @ a + np.diag(pen)
 
     def predict_grid(xq, grid, order=0):
         rhs = _kernel_sums(spec, np.asarray(grid, dtype=float), y, a, order).T
-        return _design(np.atleast_2d(np.asarray(xq, dtype=float))) @ cho_solve(chol, rhs)
+        return _design(np.atleast_2d(np.asarray(xq, dtype=float))) @ np.linalg.solve(gram, rhs)
 
     def row_weights(xq, w):
-        return a @ cho_solve(chol, _design(np.atleast_2d(np.asarray(xq, dtype=float))).T @ w)
+        return a @ np.linalg.solve(gram, _design(np.atleast_2d(np.asarray(xq, dtype=float))).T @ w)
 
     return predict_grid, row_weights
 
@@ -425,8 +449,8 @@ def fit_smoothed_outcome(subset: Sample, arm, spec: KernelSpec, learner="ridge",
     """Fit the arm-restricted smoothed-outcome regressions.
 
     ``subset`` must already be restricted to the requested arm.  All outcome
-    points and derivative orders share one factorization of the design's
-    Gram matrix (ridge) or one neighbor structure (KNN); the targets differ,
+    points and derivative orders are solved against one Gram matrix of the
+    design (ridge) or share one neighbor structure (KNN); the targets differ,
     the design does not.
     """
     hyper = dict(hyper or {})

@@ -110,10 +110,9 @@ def estimate_from_fits(fits, spec, *, n, method, alpha, grid=None, grid_points=5
     cross-fitted route from its folds' score weights.  The grid is chosen
     here alone: without ``grid``, :func:`~modete.density.default_grid` over
     both fits' outcomes, which on both routes are every row's.  Each arm's
-    order-0 curve is searched for its mode (refined with the exact
-    order-0 value, with the order-1 value as the first-order-condition
-    residual); the sandwich components are taken at the modes, and the
-    curves' shape flags go into the diagnostics.
+    order-0 curve is searched for its mode (refined with the exact order-0
+    value); the sandwich components are taken at the modes, and the curves'
+    shape flags go into the diagnostics.
 
     On a uniform grid with the Gaussian kernel the curves come from the
     binned scan (:func:`~modete.density._scan_curve`): each stored value is
@@ -133,7 +132,7 @@ def estimate_from_fits(fits, spec, *, n, method, alpha, grid=None, grid_points=5
     for arm, fit in fits.items():
         curves[arm] = DensityCurve(grid=grid, values=_scan_curve(fit, grid), arm=arm, order=0,
                                    spec=spec)
-        theta[arm] = mode_of_curve(curves[arm], fit.value, lambda yq, f=fit: f.value(yq, 1)).theta
+        theta[arm] = mode_of_curve(curves[arm], fit.value).theta
     (m1, v1), (m0, v0) = fits[1].components(theta[1]), fits[0].components(theta[0])
     flags = curve_shape_flags(curves[1].values) + curve_shape_flags(curves[0].values)
     diag = Diagnostics(flat_curve=FLAT_CURVE in flags, mode_at_grid_edge=MODE_AT_GRID_EDGE in flags,

@@ -3,9 +3,12 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import threading
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,3 +407,32 @@ class TestFormatTable:
     def test_without_folds(self):
         head = "method     kernel\nn          400\nh          0.25\nfamily     gaussian\n"
         assert _format_table(replace(_RECORD, method="kernel", folds=None)) == head + _TABLE_BODY
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    """The package runs on numpy alone: in a fresh interpreter, importing the
+    command line, both routes (the cross-fitted one with logistic/ridge and
+    with KNN learners), a small Monte Carlo study and ``modete estimate`` on
+    a CSV leave scipy unimported."""
+    src = str(Path(m.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    csv_path = tmp_path / "sample.csv"
+    code = (
+        "import contextlib, io, sys, warnings; import numpy as np; import modete.cli as cli\n"
+        "import modete as m\n"
+        "warnings.simplefilter('ignore')\n"
+        "dgp = m.builtin_dgps()['lognormal-plain']; s = m.generate(dgp, 300, seed=1)\n"
+        "m.estimate_kernel_mte(s)\n"
+        "m.estimate_dml_mte(s)\n"
+        "m.estimate_dml_mte(s, m.DMLConfig(pi_learner='knn', g_learner='knn'))\n"
+        "m.run_monte_carlo(dgp, 200, 3, 'dml', seed=2)\n"
+        f"path = {str(csv_path)!r}\n"
+        "np.savetxt(path, np.column_stack([s.y, s.d, s.x[:, 0]]), fmt='%.17g', delimiter=',', "
+        "header='y,d,x0', comments='')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['estimate', '--input', path, '--y', 'y', '--d', 'd', '--x', 'x0'])\n"
+        "print(code, sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert proc.stdout.split() == ["0", "[]"], proc.stdout

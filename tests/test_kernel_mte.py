@@ -133,6 +133,25 @@ class TestEstimateKernelMTE:
             with pytest.raises(ValueError):
                 m.estimate_dml_mte(sample, m.DMLConfig(alpha=alpha))
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, -0.1, math.nan])
+    def test_kappa_outside_open_half_interval_rejected(self, kappa, lognormal_plain):
+        """Both routes reject a clipping level outside (0, 0.5) in the shared
+        preamble, before any fit: the kernel route never calls ``pi_hat``, and
+        the cross-fitted route with KNN propensities leaks no division by zero."""
+        sample = m.generate(lognormal_plain, 60, seed=1)
+        calls = []
+
+        def pi_hat(x):
+            calls.append(x)
+            return np.full(x.shape[0], 0.5)
+
+        with pytest.raises(ValueError, match="clip kappa must be in"):
+            m.estimate_kernel_mte(sample, kappa=kappa, pi_hat=pi_hat)
+        assert not calls
+        with pytest.raises(ValueError, match="clip kappa must be in"):
+            m.estimate_dml_mte(sample, m.DMLConfig(kappa=kappa, pi_learner="knn",
+                                                   pi_hyper={"k": 3}))
+
     def test_curvature_flag_on_healthy_fit(self, lognormal_plain):
         sample = m.generate(lognormal_plain, 2000, seed=3)
         res = m.estimate_kernel_mte(sample)

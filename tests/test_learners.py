@@ -194,6 +194,41 @@ def arm_sample(n, seed, arm=1):
     return m.Sample(y, np.full(n, arm, dtype=int), x)
 
 
+@pytest.mark.parametrize("learner,key,value", [
+    ("logistic", "l2", -1e6), ("logistic", "l2", math.nan), ("logistic", "l2", math.inf),
+    ("logistic", "l2", "1e-3"),
+    ("logistic", "tol", 0.0), ("logistic", "tol", -1e-8), ("logistic", "tol", math.nan),
+    ("logistic", "tol", math.inf),
+    ("logistic", "max_iter", 0), ("logistic", "max_iter", -5), ("logistic", "max_iter", 2.5),
+    ("knn", "k", -3), ("knn", "k", 0), ("knn", "k", 2.5), ("knn", "k", 3.0),
+    ("ridge", "l2", -1e6), ("ridge", "l2", -math.inf), ("ridge", "l2", math.nan),
+    ("knn-outcome", "k", -3), ("knn-outcome", "k", 0), ("knn-outcome", "k", 2.5),
+])
+def test_invalid_hyperparameter_rejected(learner, key, value):
+    """A hyperparameter outside its range raises ValueError naming the
+    learner and the key, before the fit: a negative ridge penalty is no
+    longer left to the linear solve, and a k of 0, -3 or 2.5 no longer
+    becomes the default, 1 or 2."""
+    name = learner.removesuffix("-outcome")
+    with pytest.raises(ValueError, match=f"^{name} learner: {key} must be"):
+        if learner in ("ridge", "knn-outcome"):
+            m.fit_smoothed_outcome(arm_sample(60, 3), 1, m.KernelSpec(m.GAUSSIAN, 0.5),
+                                   learner=name, hyper={key: value})
+        else:
+            m.fit_propensity(coin_sample(60, 3), learner=name, hyper={key: value})
+
+
+@pytest.mark.parametrize("learner,hyper", [
+    ("logistic", {"l2": 0, "tol": np.float64(1e-6), "max_iter": np.int64(50)}),
+    ("knn", {"k": np.int64(5)}), ("knn", {"k": None}), ("knn", {"k": 10 ** 9}),
+])
+def test_valid_hyperparameters_accepted(learner, hyper):
+    """Numpy scalars, a zero penalty, ``k=None`` (the default) and a k above
+    the row count (all rows) are accepted."""
+    p = m.fit_propensity(coin_sample(60, 3), learner=learner, hyper=hyper).predict([[0.5, 0.5]])
+    assert np.all((p >= 0.0) & (p <= 1.0))
+
+
 class TestFitSmoothedOutcome:
     def test_ridge_constant_covariate_gives_arm_mean(self):
         rng = np.random.default_rng(6)

@@ -126,8 +126,18 @@ class Sample:
         return np.flatnonzero(self.d == arm)
 
     def subset(self, indices):
+        """The sample of the rows at ``indices``.  Its arrays are rows of
+        arrays that this sample validated, so they are only indexed and
+        frozen; an empty subset still raises :class:`ValueError`."""
         idx = np.asarray(indices)
-        return Sample(self.y[idx], self.d[idx], self.x[idx])
+        y = self.y[idx]
+        if y.ndim != 1 or y.size < 1:
+            raise ValueError("y must be a non-empty 1-d array")
+        sub = object.__new__(Sample)
+        for name, arr in (("y", y), ("d", self.d[idx]), ("x", self.x[idx])):
+            arr.flags.writeable = False
+            object.__setattr__(sub, name, arr)
+        return sub
 
 
 @dataclass(frozen=True, eq=False)

@@ -156,11 +156,11 @@ def _arm_fits(sample, partition, bundle, spec, arms=(1, 0)):
     the arm's rows outside fold ``k`` (a fit with another number of rows
     raises :class:`ConfigurationError`), all divided by the fold size
     ``n_k``.  The variance row takes ``1 / p_a**2`` and ``2 r_a / p_a**2``
-    in their place.  Each fold predicts its propensities once and forms both
-    arms' weights as one pool task.  The weights are added by row position,
-    fold by fold in canonical order (by smallest row index), and every sum
-    is divided by K, so fold labels and the thread count leave no trace in
-    the bits.
+    in their place.  Each fold predicts its propensities once and, as one
+    pool task, writes both arms' weights over all of the arm's rows, the
+    fit's already negated.  The folds' arrays are added fold by fold in
+    canonical order (by smallest row index), and every sum is divided by K,
+    so fold labels and the thread count leave no trace in the bits.
     """
     rows = {arm: sample.arm_indices(arm) for arm in arms}
 
@@ -180,16 +180,20 @@ def _arm_fits(sample, partition, bundle, spec, arms=(1, 0)):
                 raise ConfigurationError(f"arm-{arm} outcome fit of fold {k} was not trained on "
                                          f"the fold's auxiliary arm-{arm} rows")
             p_own = p_a[d_a == 1.0]
-            own = np.stack([1.0 / p_own, 1.0 / p_own ** 2])
-            parts[arm] = aux, own / idx.size, u.T / idx.size
+            # x / -n_k is -(x / n_k) bit for bit, so adding the fit's weights
+            # divided in place by -n_k subtracts its share.
+            w = np.zeros((2, aux.size))
+            w[:, aux] = u.T
+            w /= -idx.size
+            w[:, ~aux] = np.stack([1.0 / p_own, 1.0 / p_own ** 2]) / idx.size
+            parts[arm] = w
         return parts
 
     c = {arm: np.zeros((2, r.size)) for arm, r in rows.items()}
     first = [partition.indices(k).min() for k in range(partition.K)]
     for parts in _in_order(fold, np.argsort(first, kind="stable")):
-        for arm, (aux, own, fit) in parts.items():
-            c[arm][:, ~aux] += own
-            c[arm][:, aux] -= fit
+        for arm, w in parts.items():
+            c[arm] += w
     return {arm: KernelArmFit(sample.y[rows[arm]], c[arm][0], c[arm][1], spec, partition.K)
             for arm in arms}
 

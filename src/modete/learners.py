@@ -12,8 +12,8 @@ is a weighted kernel sum over the fit's own rows
 route reads them.
 
 Learner hyperparameters are plain dicts; a key set to None keeps its
-default, and a value out of range raises :class:`ValueError` before the fit.
-Documented defaults:
+default, and a key the learner does not take or a value out of range raises
+:class:`ValueError` before the fit.  Keys and documented defaults:
 
 * logistic -- ``l2`` penalty on slopes ``1e-4 * n``, gradient tolerance
   ``tol=1e-8``, ``max_iter=100``.
@@ -85,14 +85,31 @@ class PropensityFit:
         return clip_propensity(p, self.clip_kappa)
 
 
+# The hyperparameter keys each learner reads.
+_HYPER_KEYS = {"logistic": ("l2", "tol", "max_iter"), "knn": ("k",), "kernel": ("spec",),
+               "ridge": ("l2",)}
+
+
+def _check_keys(learner, hyper):
+    """Reject keys that ``learner`` does not read, so a misspelt key cannot
+    silently keep a default."""
+    unknown = [key for key in hyper if key not in _HYPER_KEYS[learner]]
+    if unknown:
+        raise ValueError(f"{learner} learner: unknown hyperparameter key(s) {unknown}; "
+                         f"it takes {list(_HYPER_KEYS[learner])}")
+
+
 def _hyper(learner, hyper, key, default):
     """``hyper[key]``, or ``default`` where it is absent or None.  ``k`` and
-    ``max_iter`` must be positive integers, ``l2`` a finite number >= 0 and
-    ``tol`` a finite number > 0; another value raises :class:`ValueError`."""
+    ``max_iter`` must be positive integers, ``l2`` a finite number >= 0,
+    ``tol`` a finite number > 0 and ``spec`` a :class:`KernelSpec`; another
+    value raises :class:`ValueError`."""
     value = hyper.get(key)
     if value is None:
         return default
-    if key in ("k", "max_iter"):
+    if key == "spec":
+        what, ok = "a KernelSpec", isinstance(value, KernelSpec)
+    elif key in ("k", "max_iter"):
         what, ok = "a positive integer", isinstance(value, numbers.Integral) and value >= 1
     else:
         what = "a finite number >= 0" if key == "l2" else "a finite number > 0"
@@ -134,14 +151,17 @@ def _fit_logistic(x, d, hyper):
     beta = np.zeros(dim + 1)
 
     def objective(b):
+        """``(value, mu)``: -loglik + 0.5 * lam * ||slopes||^2 at ``b``, and
+        the probabilities ``_sigmoid(a @ b)``, both from one ``exp``:
+        ``log(1 + e^eta)`` is ``max(eta, 0) + log1p(e)`` with
+        ``e = exp(-|eta|)``, numpy's ``logaddexp(0, eta)``."""
         eta = a @ b
-        # -loglik + 0.5 * lam * ||slopes||^2, numerically stable log(1 + e^eta)
-        return float(np.sum(np.logaddexp(0.0, eta) - d * eta) + 0.5 * np.sum(pen * b * b))
+        e = np.exp(-np.abs(eta))
+        value = np.sum(np.maximum(eta, 0.0) + np.log1p(e) - d * eta) + 0.5 * np.sum(pen * b * b)
+        return float(value), np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
-    obj = objective(beta)
+    obj, mu = objective(beta)
     for _ in range(max_iter):
-        eta = a @ beta
-        mu = _sigmoid(eta)
         grad = a.T @ (mu - d) + pen * beta
         if np.linalg.norm(grad) <= tol:
             break
@@ -154,11 +174,11 @@ def _fit_logistic(x, d, hyper):
         t = 1.0
         for _ in range(40):
             cand = beta - t * step
-            cand_obj = objective(cand)
+            cand_obj, cand_mu = objective(cand)
             if cand_obj <= obj + slack:
                 break
             t *= 0.5
-        beta, obj = cand, cand_obj
+        beta, obj, mu = cand, cand_obj, cand_mu
     else:
         raise ConvergenceError("logistic propensity fit did not converge", max_iter)
 
@@ -333,7 +353,7 @@ def _fit_knn_propensity(x, d, hyper):
 
 def _fit_kernel_propensity(x, d, hyper):
     n, dim = x.shape
-    spec = hyper.get("spec") or KernelSpec(GAUSSIAN, n ** (-1.0 / (dim + 4)))
+    spec = _hyper("kernel", hyper, "spec", KernelSpec(GAUSSIAN, n ** (-1.0 / (dim + 4))))
     mu, sd = _standardizer(x)
     train = _scaled_columns((x - mu) / sd, spec)
     floor = _mass_floor(spec, dim)
@@ -378,6 +398,7 @@ def fit_propensity(subset: Sample, learner="logistic", hyper=None, clip_kappa=0.
            "kernel": _fit_kernel_propensity}.get(learner)
     if fit is None:
         raise ValueError(f"unknown propensity learner {learner!r}")
+    _check_keys(learner, hyper)
     return PropensityFit(predict=fit(subset.x, subset.d.astype(float), hyper), learner_id=learner,
                          clip_kappa=clip_kappa)
 
@@ -461,6 +482,7 @@ def fit_smoothed_outcome(subset: Sample, arm, spec: KernelSpec, learner="ridge",
     fit = {"ridge": _fit_ridge_outcome, "knn": _fit_knn_outcome}.get(learner)
     if fit is None:
         raise ValueError(f"unknown smoothed-outcome learner {learner!r}")
+    _check_keys(learner, hyper)
     predict_grid, row_weights = fit(subset.x, subset.y, spec, hyper)
     return SmoothedOutcomeFit(arm=arm, spec=spec, learner_id=learner,
                               predict_grid=predict_grid, row_weights=row_weights)

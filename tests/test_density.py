@@ -40,6 +40,31 @@ def test_sample_is_read_only():
         s.y[0] = 1.0
 
 
+def test_subset_indexes_a_validated_sample():
+    """A subset holds each array indexed by the rows, contiguous and
+    read-only, with ``d`` kept int64; an empty subset raises, and a sample
+    built from raw arrays is still validated in full."""
+    rng = np.random.default_rng(5)
+    n = 40
+    s = m.Sample(rng.normal(size=n), rng.integers(0, 2, n).astype(np.int32), rng.normal(size=(n, 3)))
+    for idx in ([5], np.array([3, 0, 7, 7, 39]), np.flatnonzero(s.d == 1), np.arange(n) % 3 == 0):
+        for sub in (s.subset(idx), s.subset(np.arange(n)).subset(idx)):
+            for got, arr in ((sub.y, s.y), (sub.d, s.d), (sub.x, s.x)):
+                want = arr[np.asarray(idx)]
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert got.flags.c_contiguous and not got.flags.writeable
+            assert sub.d.dtype == np.int64
+            with pytest.raises(ValueError):
+                sub.x[0, 0] = 1.0
+    for empty in (np.array([], dtype=np.intp), np.zeros(n, dtype=bool)):
+        with pytest.raises(ValueError, match="non-empty"):
+            s.subset(empty)
+    with pytest.raises(ValueError, match="finite"):
+        m.Sample(s.y, s.d, np.where(np.arange(n)[:, None] == 4, np.nan, s.x))
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        m.Sample(s.y, np.where(np.arange(n) == 4, 2, s.d), s.x)
+
+
 def test_cond_density_single_point():
     s = single_point_sample()
     spec = m.KernelSpec(m.GAUSSIAN, 1.0)

@@ -1,6 +1,7 @@
 """Propensity and smoothed-outcome learners."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -227,6 +228,106 @@ def test_valid_hyperparameters_accepted(learner, hyper):
     the row count (all rows) are accepted."""
     p = m.fit_propensity(coin_sample(60, 3), learner=learner, hyper=hyper).predict([[0.5, 0.5]])
     assert np.all((p >= 0.0) & (p <= 1.0))
+
+
+@pytest.mark.parametrize("learner,hyper,message", [
+    ("logistic", {"lambda": 1e6}, "unknown hyperparameter key(s) ['lambda']"),
+    ("logistic", {"l2": 1.0, "k": 3, "spec": None}, "unknown hyperparameter key(s) ['k', 'spec']"),
+    ("knn", {"K": 3}, "unknown hyperparameter key(s) ['K']"),
+    ("kernel", {"h": 0.5}, "unknown hyperparameter key(s) ['h']"),
+    ("kernel", {"spec": "wide"}, "spec must be a KernelSpec, got 'wide'"),
+    ("kernel", {"spec": 0.5}, "spec must be a KernelSpec, got 0.5"),
+    ("ridge", {"lambda": 1.0, "l2": None}, "unknown hyperparameter key(s) ['lambda']"),
+    ("knn-outcome", {"spec": None}, "unknown hyperparameter key(s) ['spec']"),
+])
+@pytest.mark.parametrize("route", ["learner", "dml"])
+def test_unknown_hyperparameter_key_rejected(learner, hyper, message, route):
+    """A key that the learner does not take, or a kernel ``spec`` that is not
+    a KernelSpec, raises ValueError naming the learner, from the learner's
+    own fit and from the cross-fitted route, instead of fitting the
+    defaults or failing inside a fold task."""
+    name = learner.removesuffix("-outcome")
+    outcome = learner in ("ridge", "knn-outcome")
+    with pytest.raises(ValueError, match=f"^{name} learner: {re.escape(message)}"):
+        if route == "dml":
+            config = (m.DMLConfig(g_learner=name, g_hyper=hyper) if outcome
+                      else m.DMLConfig(pi_learner=name, pi_hyper=hyper))
+            m.estimate_dml_mte(coin_sample(200, 3), config)
+        elif outcome:
+            m.fit_smoothed_outcome(arm_sample(60, 3), 1, m.KernelSpec(m.GAUSSIAN, 0.5),
+                                   learner=name, hyper=hyper)
+        else:
+            m.fit_propensity(coin_sample(60, 3), learner=name, hyper=hyper)
+
+
+def reference_logistic_predict(x, d, xq, l2=None, tol=1e-8, max_iter=100):
+    """A plain damped Newton fit of the penalized logistic regression, with
+    its objective in ``np.logaddexp`` and the probabilities recomputed from
+    ``a @ beta`` at each step; the predictions at ``xq``."""
+    def sigmoid(eta):
+        e = np.exp(-np.abs(eta))
+        return np.where(eta >= 0, 1.0, e) / (1.0 + e)
+
+    n, dim = x.shape
+    a = np.column_stack([np.ones(n), x])
+    pen = np.zeros(dim + 1)
+    pen[1:] = 1e-4 * n if l2 is None else l2
+    beta = np.zeros(dim + 1)
+
+    def objective(b):
+        eta = a @ b
+        return float(np.sum(np.logaddexp(0.0, eta) - d * eta) + 0.5 * np.sum(pen * b * b))
+
+    obj = objective(beta)
+    for _ in range(max_iter):
+        mu = sigmoid(a @ beta)
+        grad = a.T @ (mu - d) + pen * beta
+        if np.linalg.norm(grad) <= tol:
+            break
+        w = np.maximum(mu * (1.0 - mu), 1e-10)
+        step = np.linalg.solve(a.T @ (a * w[:, None]) + np.diag(pen), grad)
+        slack = 1e-10 * max(1.0, abs(obj))
+        t = 1.0
+        for _ in range(40):
+            cand = beta - t * step
+            cand_obj = objective(cand)
+            if cand_obj <= obj + slack:
+                break
+            t *= 0.5
+        beta, obj = cand, cand_obj
+    else:
+        raise m.ConvergenceError("reference fit did not converge", max_iter)
+    return sigmoid(beta[0] + xq @ beta[1:].copy())
+
+
+@pytest.mark.parametrize("n,dim,l2,shape", [
+    (60, 1, None, "coin"), (500, 1, None, "slope"), (3000, 3, None, "slope"),
+    (400, 3, 0.5, "slope"), (2000, 1, 0.0, "slope"), (300, 3, 25.0, "coin"),
+    (200, 1, None, "separable"), (200, 1, 0.0, "separable"), (300, 3, 0.0, "separable"),
+    (300, 3, 1e-3, "nearly-separable"), (200, 1, 0.0, "nearly-separable"),
+])
+def test_logistic_fit_matches_reference_newton_bitwise(n, dim, l2, shape):
+    """The logistic propensity learner predicts the bytes of the reference
+    Newton fit, on coin-flip, sloped, separable and nearly separable
+    samples, and raises ConvergenceError exactly where it does."""
+    rng = np.random.default_rng(n + dim)
+    x = rng.normal(size=(n, dim))
+    if shape == "separable":
+        d = (x[:, 0] > 0.0).astype(int)
+    else:
+        eta = {"coin": np.zeros(n), "slope": 1.5 * x[:, 0] - 0.5 * x[:, -1] + 0.3,
+               "nearly-separable": 40.0 * x[:, 0]}[shape]
+        d = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(int)
+    xq = np.vstack([x, rng.normal(scale=3.0, size=(50, dim))])
+    try:
+        want = reference_logistic_predict(x, d.astype(float), xq, l2=l2)
+    except m.ConvergenceError:
+        with pytest.raises(m.ConvergenceError):
+            m.fit_propensity(m.Sample(np.zeros(n), d, x), learner="logistic", hyper={"l2": l2})
+        return
+    got = m.fit_propensity(m.Sample(np.zeros(n), d, x), learner="logistic",
+                           hyper={"l2": l2}).predict(xq)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestFitSmoothedOutcome:

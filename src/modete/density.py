@@ -128,16 +128,26 @@ class Sample:
     def subset(self, indices):
         """The sample of the rows at ``indices``.  Its arrays are rows of
         arrays that this sample validated, so they are only indexed and
-        frozen; an empty subset still raises :class:`ValueError`."""
+        frozen.  An empty subset raises :class:`ValueError`, an empty index
+        before indexing: ``np.asarray([])`` is a float array."""
         idx = np.asarray(indices)
-        y = self.y[idx]
-        if y.ndim != 1 or y.size < 1:
+        if idx.size == 0 or (y := self.y[idx]).ndim != 1 or y.size < 1:
             raise ValueError("y must be a non-empty 1-d array")
         sub = object.__new__(Sample)
         for name, arr in (("y", y), ("d", self.d[idx]), ("x", self.x[idx])):
             arr.flags.writeable = False
             object.__setattr__(sub, name, arr)
         return sub
+
+
+def _outcome_grid(grid):
+    """``grid`` as a float array that is 1-d, has at least 3 points, and is
+    finite and strictly increasing; anything else raises :class:`ValueError`."""
+    grid = np.asarray(grid, dtype=float)
+    if not (grid.ndim == 1 and grid.size >= 3 and np.isfinite(grid).all()
+            and (np.diff(grid) > 0).all()):
+        raise ValueError("grid must be 1-d with at least 3 finite, strictly increasing points")
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,12 +161,8 @@ class DensityCurve:
     spec: KernelSpec
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = _outcome_grid(self.grid)
         values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.size < 3:
-            raise ValueError("grid must be 1-d with at least 3 points")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
         if values.shape != grid.shape:
             raise ValueError("values must match the grid shape")
         object.__setattr__(self, "grid", grid)
@@ -285,11 +291,8 @@ def _product_weights_block(z_block, z_all, family, out=None, tmp=None):
     scaled covariate too large for one gives nan weights, whose rows
     :func:`_weight_pass` reports as having no mass.
 
-    This is the difference block.  Where :func:`_lift` certifies it, the
-    callers make the Gaussian block instead as ``exp(a[rows] @ b)``, one
-    rank-(d + 2) matrix product and one ``exp`` written straight into the
-    block, with each weight within a relative ``_LIFT_TOL`` (1e-12) of this
-    one's exact value; elsewhere, and for Epanechnikov, they call this.
+    This is the difference block; :func:`_covariate_block` makes the lifted
+    Gaussian block instead where :func:`_lift` certifies it.
     """
     gaussian = family == GAUSSIAN
     combine = np.add if gaussian else np.multiply
@@ -312,6 +315,18 @@ def _product_weights_block(z_block, z_all, family, out=None, tmp=None):
             np.negative(w, out=w)
             np.exp(w, out=w)
     return w
+
+
+def _covariate_block(z, rows, cols, family, lift, out=None, tmp=None):
+    """Covariate weights between the points ``z[:, rows]`` and ``cols``, in
+    ``out`` if given: with ``lift`` (:func:`_lift`; ``cols`` then columns of
+    ``lift[1]``), ``exp(lift[0][rows] @ cols)``, one matrix product and one
+    ``exp``, each weight within a relative ``_LIFT_TOL`` of the exact one;
+    otherwise the difference block of :func:`_product_weights_block`."""
+    if lift is None:
+        return _product_weights_block(z[:, rows], cols, family, out=out, tmp=tmp)
+    w = np.matmul(lift[0][rows], cols, out=out)
+    return np.exp(w, out=w)
 
 
 def _lift(z_rows, z_cols=None):
@@ -421,9 +436,10 @@ def _binned_sums(spec, grid, y, w):
     """Order-0 Gaussian sums ``K_h(grid[:, None] - y) @ w`` from a binned scan
     in O(n + G log G), with a bound: ``(sums, eps)``, each sum within ``eps``
     of :func:`_kernel_sums`'s, or None where the scan does not apply (another
-    family, ``w`` with columns, non-finite input, a grid that is not uniform,
-    a lattice of more than ``_SCAN_SPAN`` times ``_SCAN_BINS * G`` bins, or a
-    bound that is not finite, as at a bandwidth far below the bin width).
+    family, ``w`` with columns, non-finite ``y`` or ``w``, an
+    :func:`_outcome_grid` that is not uniform, a lattice of more than
+    ``_SCAN_SPAN`` times ``_SCAN_BINS * G`` bins, or a bound that is not
+    finite, as at a bandwidth far below the bin width).
 
     The weights are binned linearly onto a lattice of ``_SCAN_BINS`` bins of
     width ``delta`` per grid step, on which the grid points lie, and convolved
@@ -448,9 +464,8 @@ def _binned_sums(spec, grid, y, w):
       side of it and not on the other;
     * twice :func:`_sum_rounding`, the rounding of the sums compared with.
     """
-    if (spec.family != GAUSSIAN or grid.ndim != 1 or grid.size < 3 or w.ndim != 1
-            or y.size == 0 or not (np.isfinite(grid).all() and np.isfinite(y).all()
-                                   and np.isfinite(w).all())):
+    if (spec.family != GAUSSIAN or w.ndim != 1 or y.size == 0
+            or not (np.isfinite(y).all() and np.isfinite(w).all())):
         return None
     lo, hi, h = float(grid[0]), float(grid[-1]), spec.h
     step = (hi - lo) / (grid.size - 1)
@@ -583,7 +598,7 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
     curve value at any outcome ``y`` equal ``sum(c * K_h(y - y_j)) / n``: the
     constant cancels.  With ``share``,
     ``c_var[j] = sum_i e_ij / (s[i] * p[i])``, where
-    ``p = share(arm, s_rows, rows)`` is the arm's clipped probability (the
+    ``p = share(arm, s, rows)`` is the arm's clipped probability (the
     local share ``s_1 / (s_1 + s_0)`` needs no constant either), so
     ``sum(c_var * K_h(theta - y_j)) / n`` averages ``f_hat(theta | x_i) / p[i]``
     and the variance needs no second pass; otherwise ``c_var`` is None.  ``c``
@@ -600,15 +615,15 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
     that certifies every weight to a relative ``_LIFT_TOL`` (the decision
     rests on all ``n`` points, whichever arms the pass fits); the arm's
     gathered columns are then lifted too, and each block is
-    ``exp(a[rows] @ b_arm)``, written straight into the block's buffer.  A
-    weight and a mass then move by at most ``_LIFT_TOL``, a weight over its
-    mass by twice that and over its mass times a local share by four times,
-    so ``c`` and ``c_var`` lie within ``4 * _LIFT_TOL`` relative of the
-    difference block's, up to the rounding of their sums.  Otherwise, and
-    for Epanechnikov, the blocks are :func:`_product_weights_block`'s, bit
-    for bit.
+    ``exp(a[rows] @ b_arm)`` (:func:`_covariate_block`).  A weight and a
+    mass then move by at most ``_LIFT_TOL``, a weight over its mass by twice
+    that and over its mass times a local share by four times, so ``c`` and
+    ``c_var`` lie within ``4 * _LIFT_TOL`` relative of the difference
+    block's, up to the rounding of their sums.  Otherwise, and for
+    Epanechnikov, the blocks are :func:`_product_weights_block`'s, bit for
+    bit.
 
-    Each row block writes its own rows of ``s`` and returns its
+    Each row block keeps its rows' masses ``s`` to itself and returns its
     contributions to ``c`` and ``c_var``; the blocks run on the calling
     thread or on the pool's two workers (:func:`_threads`,
     :func:`_in_order`), and the contributions are added strictly in block
@@ -623,7 +638,6 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
     lift = _lift(z) if spec.family == GAUSSIAN else None
     arm_cols = {arm: (z if lift is None else lift[1])[:, i] for arm, i in idx.items()}
     floor = _mass_floor(spec, sample.dim)
-    mass = {arm: np.empty(n) for arm in idx}
     acc = {arm: np.zeros(i.size) for arm, i in idx.items()}
     acc_var = {arm: np.zeros(i.size) for arm, i in idx.items()} if share is not None else {}
     step = _block_rows(n)
@@ -647,28 +661,22 @@ def _weight_pass(sample: Sample, spec: KernelSpec, arms=(1, 0), share=None):
         if me not in scratch:
             scratch[me] = spare.pop()
         buf, used = scratch[me], 0
-        e, c, c_var = {}, {}, {}
+        e, s, c, c_var = {}, {}, {}, {}
         for arm in idx:
             size = m * idx[arm].size
-            out = buf[used:used + size].reshape(m, -1)
-            if lift is None:
-                e[arm] = _product_weights_block(
-                    z[:, rows], arm_cols[arm], spec.family, out=out,
-                    tmp=buf[step * n:step * n + size].reshape(m, -1) if width else None)
-            else:
-                e[arm] = np.exp(np.matmul(lift[0][rows], arm_cols[arm], out=out), out=out)
+            e[arm] = _covariate_block(
+                z, rows, arm_cols[arm], spec.family, lift, out=buf[used:used + size].reshape(m, -1),
+                tmp=buf[step * n:step * n + size].reshape(m, -1) if width else None)
             used += size
-            s_blk = e[arm].sum(axis=1)
-            bad = np.flatnonzero(~(s_blk > floor))
+            s[arm] = e[arm].sum(axis=1)
+            bad = np.flatnonzero(~(s[arm] > floor))
             if bad.size:
                 i = start + int(bad[0])
                 raise DegenerateLocalityError(arm, sample.x[i], index=i)
-            mass[arm][rows] = s_blk
-            c[arm] = e[arm].T @ (1.0 / s_blk)
+            c[arm] = e[arm].T @ (1.0 / s[arm])
         if share is not None:
             for arm in idx:
-                p = share(arm, {a: mass[a][rows] for a in idx}, rows)
-                c_var[arm] = e[arm].T @ (1.0 / (mass[arm][rows] * p))
+                c_var[arm] = e[arm].T @ (1.0 / (s[arm] * share(arm, s, rows)))
         return c, c_var
 
     for c, c_var in _in_order(block, starts, threads):
@@ -698,8 +706,6 @@ def marginal_density_curve(sample: Sample, arm, spec: KernelSpec, grid, order=0)
     every observation.  The covariate weight pass is computed once and shared
     across all grid points.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be 1-d and strictly increasing")
+    grid = _outcome_grid(grid)
     values = marginal_arm_fit(sample, arm, spec).curve(grid, order)
     return DensityCurve(grid=grid, values=values, arm=arm, order=order, spec=spec)

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .density import DensityCurve, KernelArmFit, Sample, _in_order
+from .density import DensityCurve, KernelArmFit, Sample, _in_order, _outcome_grid
 from .errors import ConfigurationError, NoDataError, StratificationError
 from .kernels import DML_METHOD, GAUSSIAN, KernelSpec, scaled_kernel
 from .kernel_mte import _prepare
@@ -214,7 +214,7 @@ def dml_density_curve(sample: Sample, partition: FoldPartition, bundle: Nuisance
     across folds with equal weights.  Order-0 values may dip slightly
     negative (the orthogonal correction); they are recorded as-is.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _outcome_grid(grid)
     _check_bundle(partition, bundle, spec)
     fit = _arm_fits(sample, partition, bundle, spec, arms=(arm,))[arm]
     return DensityCurve(grid=grid, values=fit.curve(grid, order), arm=arm, order=order, spec=spec)
@@ -269,8 +269,8 @@ def estimate_dml_mte(sample: Sample, config: DMLConfig | None = None) -> MTEResu
     config = config or DMLConfig()
     if config.folds < 2:
         raise ValueError(f"cross-fitting needs at least 2 folds, got {config.folds}")
-    std_sample, spec = _prepare(sample, config.family, config.bandwidth, config.alpha,
-                                config.kappa, DML_METHOD, _DML_SCALE_MULT)
+    std_sample, spec, grid = _prepare(sample, config.family, config.bandwidth, config.grid,
+                                      config.alpha, config.kappa, DML_METHOD, _DML_SCALE_MULT)
     n = std_sample.n
 
     # First attempt plus up to _MAX_RESEEDS re-seeds.
@@ -290,30 +290,26 @@ def estimate_dml_mte(sample: Sample, config: DMLConfig | None = None) -> MTEResu
                            pi_hyper=config.pi_hyper, g_hyper=config.g_hyper,
                            kappa=config.kappa)
     return estimate_from_fits(_arm_fits(std_sample, partition, bundle, spec), spec, n=n,
-                              method=DML_METHOD, alpha=config.alpha, grid=config.grid,
+                              method=DML_METHOD, alpha=config.alpha, grid=grid,
                               grid_points=config.grid_points, folds=config.folds,
                               fold_reseeds=reseeds)
 
 
 @dataclass(frozen=True)
 class OracleNuisance:
-    """True nuisances for simulation checks.
+    """A nuisance pair for simulation checks: the true nuisances, or a
+    bounded direction in nuisance space (:data:`Perturbation`).
 
     ``pi`` maps a covariate matrix to treated probabilities; ``g`` maps
     ``(covariate matrix, outcome point)`` to the conditional mean of the
-    order-0 kernel target in the checked arm.
+    order-0 kernel target in the checked arm.  A direction gives their shifts.
     """
 
     pi: Callable
     g: Callable
 
 
-@dataclass(frozen=True)
-class Perturbation:
-    """A bounded direction in nuisance space, same call shapes as the oracle."""
-
-    pi: Callable
-    g: Callable
+Perturbation = OracleNuisance
 
 
 def orthogonality_check(sample: Sample, true_eta: OracleNuisance, direction: Perturbation,

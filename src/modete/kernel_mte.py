@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import Sample, _weight_pass
+from .density import Sample, _outcome_grid, _weight_pass
 from .errors import ConstantCovariateError, NoOverlapError
 from .kernels import GAUSSIAN, KERNEL_METHOD, KernelSpec, default_bandwidth
 from .learners import _check_kappa, clip_propensity
@@ -91,23 +91,24 @@ def kernel_variance_components(sample: Sample, spec: KernelSpec, theta1, theta0,
     return m1, m0, v1, v0
 
 
-def _prepare(sample: Sample, family, h, alpha, kappa, method, scale_mult=1.0):
-    """Preamble shared by both routes: ``(standardized sample, spec)``.
+def _prepare(sample: Sample, family, h, grid, alpha, kappa, method, scale_mult=1.0):
+    """Preamble shared by both routes: ``(standardized sample, spec, grid)``.
 
-    Checks that both arms are present, ``alpha`` is in (0, 1) and the
-    propensity clipping level ``kappa`` in (0, 0.5).  Without ``h`` the
-    bandwidth follows ``method``'s rule on ``scale_mult`` times a robust
-    dispersion of the outcome.
+    Checks, before any fit, that both arms are present, a caller's ``grid``
+    holds to :func:`density._outcome_grid`, ``alpha`` is in (0, 1) and the
+    clipping level ``kappa`` in (0, 0.5).  Without ``h`` the bandwidth follows
+    ``method``'s rule on ``scale_mult`` times a robust dispersion of ``y``.
     """
     if sample.arm_count(1) == 0 or sample.arm_count(0) == 0:
         raise NoOverlapError("mode treatment effect estimation needs both arms")
+    grid = None if grid is None else _outcome_grid(grid)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     _check_kappa(kappa)
     std_sample, _ = standardize_covariates(sample)
     if h is None:
         h = default_bandwidth(sample.n, sample.dim, method, scale_mult * robust_scale(sample.y))
-    return std_sample, KernelSpec(family, h)
+    return std_sample, KernelSpec(family, h), grid
 
 
 def estimate_kernel_mte(sample: Sample, spec: KernelSpec | None = None, *,
@@ -123,7 +124,7 @@ def estimate_kernel_mte(sample: Sample, spec: KernelSpec | None = None, *,
     bandwidth; pass ``pi_hat`` to inject a fitted learner instead.
     """
     family, h = (family, None) if spec is None else (spec.family, spec.h)
-    std_sample, spec = _prepare(sample, family, h, alpha, kappa, KERNEL_METHOD)
+    std_sample, spec, grid = _prepare(sample, family, h, grid, alpha, kappa, KERNEL_METHOD)
     fits = _weight_pass(std_sample, spec, (1, 0), _clipped_share(pi_hat, std_sample.x, kappa))
     return estimate_from_fits(fits, spec, n=std_sample.n, method=KERNEL_METHOD, alpha=alpha,
                               grid=grid, grid_points=grid_points)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,12 +45,14 @@ def eval_kernel(family, u, order=0):
             u = np.clip(u, -40.0, 40.0)
         with np.errstate(over="ignore"):  # a square past a double is inf, and phi 0
             phi = np.exp(-0.5 * u * u) / _SQRT_2PI
-        if order == 0:
-            out = phi
-        elif order == 1:
-            out = -u * phi
-        else:
-            out = (u * u - 1.0) * phi
+        # K^(k) = (-1)**k He_k * phi, He_0 = 1, He_1 = u, He_(k+1) = u He_k - k He_(k-1):
+        # -u * phi and (u * u - 1.0) * phi, bit for bit, a NaN's sign included.
+        out = phi
+        if order:
+            prev, poly = 1.0, u
+            for k in range(1, order):
+                prev, poly = poly, u * poly - k * prev
+            out = (-poly if order % 2 else poly) * phi
     elif family == EPANECHNIKOV:
         inside = np.abs(u) <= 1.0
         if order == 0:
@@ -146,18 +147,17 @@ def product_kernel(spec: KernelSpec, diff_vector):
 # Closed-form constants. Gaussian: integral of (u*phi(u))**2 is 1/(4*sqrt(pi)),
 # second moment 1. Epanechnikov: integral of (1.5*u)**2 over [-1, 1] is 1.5,
 # second moment 1/5.
-_CLOSED_FORM = {
-    GAUSSIAN: (0.25 / math.sqrt(math.pi), 1.0),
-    EPANECHNIKOV: (1.5, 0.2),
+_CONSTANTS = {
+    GAUSSIAN: KernelConstants(0.25 / math.sqrt(math.pi), 1.0),
+    EPANECHNIKOV: KernelConstants(1.5, 0.2),
 }
 
 
-@lru_cache(maxsize=None)
 def kernel_constants(family) -> KernelConstants:
-    """Moment constants for a family, from their closed forms, cached."""
-    if family not in _CLOSED_FORM:
+    """Moment constants for a family, from their closed forms."""
+    if family not in _CONSTANTS:
         raise ValueError(f"unknown kernel family {family!r}")
-    return KernelConstants(*_CLOSED_FORM[family])
+    return _CONSTANTS[family]
 
 
 def default_bandwidth(n, d, method, scale):

@@ -38,7 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .density import (
-    Sample, _block_rows, _kernel_sums, _lift, _mass_floor, _product_weights_block, _scaled_columns,
+    Sample, _block_rows, _covariate_block, _kernel_sums, _lift, _mass_floor, _scaled_columns,
 )
 from .errors import ConvergenceError, NoDataError, NoOverlapError
 from .kernels import GAUSSIAN, KernelSpec, scaled_kernel
@@ -133,10 +133,11 @@ def _standardizer(x):
     return mu, sd
 
 
-def _sigmoid(eta):
-    # exp(-|eta|) is exp(-eta) where eta >= 0 and exp(eta) below, so this is
-    # 1 / (1 + exp(-eta)) and exp(eta) / (1 + exp(eta)) without an overflow.
-    e = np.exp(-np.abs(eta))
+def _sigmoid(eta, e=None):
+    # e = exp(-|eta|), which a caller may pass, is exp(-eta) where eta >= 0 and
+    # exp(eta) below: 1 / (1 + exp(-eta)) and exp(eta) / (1 + exp(eta)) without an overflow.
+    if e is None:
+        e = np.exp(-np.abs(eta))
     return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -158,7 +159,7 @@ def _fit_logistic(x, d, hyper):
         eta = a @ b
         e = np.exp(-np.abs(eta))
         value = np.sum(np.maximum(eta, 0.0) + np.log1p(e) - d * eta) + 0.5 * np.sum(pen * b * b)
-        return float(value), np.where(eta >= 0, 1.0, e) / (1.0 + e)
+        return float(value), _sigmoid(eta, e)
 
     obj, mu = objective(beta)
     for _ in range(max_iter):
@@ -364,18 +365,14 @@ def _fit_kernel_propensity(x, d, hyper):
         # Query rows are weighted in blocks within the shared budget; a
         # block's matrix-vector product may round differently from one over
         # all rows, by a few ulps.  The kernel's constant cancels in the ratio.
-        # A Gaussian block is lifted to a matrix product where the queries and
-        # the training rows certify it (density._lift), which moves a ratio
-        # by at most 2 * density._LIFT_TOL relative.
+        # A lifted Gaussian block (density._covariate_block, where the queries
+        # and training rows certify it) moves a ratio by 2 * _LIFT_TOL at most.
         zq = _scaled_columns((np.atleast_2d(np.asarray(xq, dtype=float)) - mu) / sd, spec)
         lift = _lift(zq, train) if spec.family == GAUSSIAN else None
+        cols = train if lift is None else lift[1]
         out = np.full(zq.shape[1], fallback)
         for s in range(0, zq.shape[1], step):
-            if lift is None:
-                w = _product_weights_block(zq[:, s:s + step], train, spec.family)
-            else:
-                w = lift[0][s:s + step] @ lift[1]
-                np.exp(w, out=w)
+            w = _covariate_block(zq, slice(s, s + step), cols, spec.family, lift)
             den = w.sum(axis=1)
             num = w @ d
             ok = den > floor

@@ -108,8 +108,8 @@ def estimate_from_fits(fits, spec, *, n, method, alpha, grid=None, grid_points=5
     ``fits`` maps each arm to a :class:`~modete.density.KernelArmFit`, which
     both routes build: the kernel route from its covariate-weight pass, the
     cross-fitted route from its folds' score weights.  The grid is chosen
-    here alone: without ``grid``, :func:`~modete.density.default_grid` over
-    both fits' outcomes, which on both routes are every row's.  Each arm's
+    here alone: the caller's ``grid``, already checked by ``_prepare``, or
+    else ``default_grid`` over both fits' outcomes, every row's on both routes.  Each arm's
     order-0 curve is searched for its mode (refined with the exact order-0
     value); the sandwich components are taken at the modes, and the curves'
     shape flags go into the diagnostics.
@@ -127,7 +127,6 @@ def estimate_from_fits(fits, spec, *, n, method, alpha, grid=None, grid_points=5
     _kernel_scale(spec.h, 2)
     if grid is None:
         grid = default_grid(np.concatenate([fit.y for fit in fits.values()]), spec.h, grid_points)
-    grid = np.asarray(grid, dtype=float)
     curves, theta = {}, {}
     for arm, fit in fits.items():
         curves[arm] = DensityCurve(grid=grid, values=_scan_curve(fit, grid), arm=arm, order=0,

@@ -360,3 +360,90 @@ def test_curve_memory_is_bounded(lognormal_selection):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * _BLOCK_BYTES + 64 * grid.size
+
+
+@pytest.mark.parametrize("empty", [[], np.array([], dtype=int), "mask"])
+def test_empty_subset_raises_value_error(empty):
+    """An empty Python list, an empty integer array and an all-False mask all
+    raise the empty-subset error (``np.asarray([])`` is a float array, which
+    cannot index)."""
+    s = small_sample()
+    with pytest.raises(ValueError, match="non-empty"):
+        s.subset(np.zeros(s.n, dtype=bool) if isinstance(empty, str) else empty)
+
+
+BAD_GRIDS = {
+    "nan-point": [0.0, np.nan, 1.0, 2.0],
+    "inf-point": [0.0, 1.0, 2.0, np.inf],
+    "2-d": [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]],
+    "decreasing": [2.0, 1.0, 0.0],
+    "2-points": [0.0, 1.0],
+    "empty": [],
+}
+
+
+class TestOutcomeGridContract:
+    """Every entry point that takes an outcome grid rejects one that is not
+    1-d, of at least 3 points, finite and strictly increasing, with a
+    ``ValueError`` raised before any weight pass or fold fit."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        sample, _ = m.standardize_covariates(small_sample(n=60, seed=3))
+        spec = m.KernelSpec(m.GAUSSIAN, 0.5)
+        partition = m.make_folds(sample.n, 3, seed=0)
+        return sample, spec, partition, m.fit_nuisances(sample, partition, spec)
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        import modete.density as density
+        import modete.dml as dml
+        import modete.kernel_mte as kernel_mte
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a fit ran before the grid was checked")
+
+        monkeypatch.setattr(kernel_mte, "_weight_pass", forbidden)
+        monkeypatch.setattr(density, "marginal_arm_fit", forbidden)
+        monkeypatch.setattr(dml, "fit_nuisances", forbidden)
+        monkeypatch.setattr(dml, "_arm_fits", forbidden)
+
+    @pytest.mark.parametrize("entry", ["kernel", "dml", "marginal", "dml-curve", "curve"])
+    @pytest.mark.parametrize("bad", list(BAD_GRIDS), ids=list(BAD_GRIDS))
+    def test_invalid_grid_raises_before_any_fit(self, fitted, no_work, entry, bad):
+        sample, spec, partition, bundle = fitted
+        grid = BAD_GRIDS[bad]
+        calls = {
+            "kernel": lambda: m.estimate_kernel_mte(sample, spec, grid=grid),
+            "dml": lambda: m.estimate_dml_mte(sample, m.DMLConfig(grid=grid)),
+            "marginal": lambda: m.marginal_density_curve(sample, 1, spec, grid),
+            "dml-curve": lambda: m.dml_density_curve(sample, partition, bundle, spec, grid, 1),
+            "curve": lambda: m.DensityCurve(grid=grid, values=np.zeros(np.shape(grid)), arm=1,
+                                            order=0, spec=spec),
+        }
+        with pytest.raises(ValueError, match="grid"):
+            calls[entry]()
+
+    def test_nan_grid_fails_before_a_degenerate_weight_pass(self):
+        """One covariate point far from every other: at a small h the weight
+        pass finds no kernel mass there, but a NaN grid is rejected first."""
+        s = small_sample(n=40, seed=2)
+        x = s.x.copy()
+        x[0] = 50.0
+        s = m.Sample(s.y, s.d, x)
+        spec = m.KernelSpec(m.GAUSSIAN, 0.05)
+        with pytest.raises(m.DegenerateLocalityError):
+            m.estimate_kernel_mte(s, spec)
+        with pytest.raises(ValueError, match="grid"):
+            m.estimate_kernel_mte(s, spec, grid=BAD_GRIDS["nan-point"])
+
+    def test_nan_grid_fails_before_fold_stratification(self):
+        """A single treated row leaves some auxiliary sample without treated
+        rows at every fold seed, but a NaN grid is rejected first."""
+        d = np.zeros(8, int)
+        d[3] = 1
+        s = m.Sample(np.arange(8.0), d, np.linspace(0, 1, 8)[:, None])
+        with pytest.raises(m.StratificationError):
+            m.estimate_dml_mte(s, m.DMLConfig(folds=2))
+        with pytest.raises(ValueError, match="grid"):
+            m.estimate_dml_mte(s, m.DMLConfig(folds=2, grid=BAD_GRIDS["nan-point"]))

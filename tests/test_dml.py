@@ -583,3 +583,11 @@ class TestOrthogonality:
         increments = -((sample.d - pi0) / pi0) * (eps * -2.0)
         se = increments.std(ddof=1) / math.sqrt(sample.n)
         assert table[0, 1] <= 3.0 * se
+
+
+def test_perturbation_is_the_nuisance_pair():
+    """One frozen ``(pi, g)`` pair serves as the true nuisances and as a
+    direction in nuisance space; both names construct it by keyword."""
+    assert m.Perturbation is m.OracleNuisance
+    pair = m.Perturbation(pi=len, g=max)
+    assert (pair.pi, pair.g) == (len, max)

@@ -178,3 +178,35 @@ def test_kernel_spec_validation():
         m.KernelSpec("box", 1.0)
     with pytest.raises(ValueError):
         m.KernelConstants(-1.0, 0.2)
+
+
+def closed_form_gaussian(u, order):
+    """The Gaussian kernel's orders 0-2 as their closed forms ``phi``,
+    ``-u * phi`` and ``(u * u - 1) * phi``, a derivative with ``u`` clipped
+    to [-40, 40], where the density is already 0."""
+    u = np.asarray(u, dtype=float)
+    if order:
+        u = np.clip(u, -40.0, 40.0)
+    with np.errstate(over="ignore"):
+        phi = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    if order == 0:
+        return phi
+    return -u * phi if order == 1 else (u * u - 1.0) * phi
+
+
+@given(u=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40),
+       order=st.sampled_from([0, 1, 2]))
+@settings(max_examples=300, deadline=None)
+def test_gaussian_recurrence_matches_closed_forms_bytewise(u, order):
+    """``eval_kernel``'s Hermite recurrence gives the closed forms' bytes,
+    signed zeros, far tails, infinities and NaNs included."""
+    u = np.array(u + [0.0, -0.0, 40.0, -40.0, 1e154, -1e154, np.inf, -np.inf, np.nan, 5e-324])
+    assert m.eval_kernel(m.GAUSSIAN, u, order).tobytes() == closed_form_gaussian(u, order).tobytes()
+    for v in u[-10:]:
+        assert np.float64(m.eval_kernel(m.GAUSSIAN, v, order)).tobytes() == \
+            closed_form_gaussian(v, order).tobytes()
+
+
+def test_kernel_constants_reject_unknown_family():
+    with pytest.raises(ValueError, match="unknown kernel family"):
+        m.kernel_constants("box")
